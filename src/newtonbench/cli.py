@@ -106,6 +106,8 @@ def _cmd_profile(args) -> "tuple[dict, int]":
 
 
 def _cmd_certify(args) -> "tuple[dict, int]":
+    if args.T < 1:
+        raise UsageError("--T must be >= 1")
     fid = parse_family(args.family)
     vp = gen_valued(fid)
     D = 1 << args.T
@@ -177,6 +179,8 @@ def _cmd_gen(args) -> "tuple[dict, int]":
 
 
 def _cmd_refute_trees(args) -> "tuple[dict, int]":
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     if _FAMILY_RE.match(args.target.strip().lower()):
         fid = parse_family(args.target)
         target = gen_exact(fid)
@@ -252,7 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--ops", default="add,sub,mul")
     p.add_argument("--constants", default="0,1")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; the search "
+                        "always runs in one process")
     p.add_argument("--max-states", type=int, default=5_000_000)
 
     for name, cmd in sub.choices.items():

@@ -16,24 +16,39 @@ retained ones:
 
 Reachable-input sets stay exactly representable throughout: they are either
 the complement of a finite algebraic set (`cofinite` contexts, excluded
-roots held as a monic squarefree polynomial) or a finite algebraic set
-(`finite` contexts, the points' monic squarefree polynomial). Deciding a
+roots) or a finite algebraic set (`finite` contexts). Either set is held as
+its squarefree polynomial over Z in primitive form with positive leading
+coefficient, the integer stand-in for the monic squarefree polynomial over
+Q, so contexts, goals and exclusions are plain int tuples and all context
+algebra is the integer kernel of `polynomials` (pseudo-remainder gcd, exact
+quotients). Values are (numerator, denominator) coefficient tuples; the
+denominator is monic and stays (1,) unless division is enabled. Deciding a
 target means accepting exactly the target's roots, which splits cleanly
 across branch transitions, so witness search, canonical-tree counting and
 the generic-path sweep are all memoized dynamic programs over these states.
 Counts are therefore exact even when the number of canonical trees is far
-too large to materialize, and every result is independent of how the root
-transitions are partitioned across workers.
+too large to materialize.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polynomials import DensePoly, divides, poly_to_json, squarefree_part
+from .polynomials import (
+    DensePoly,
+    poly_to_json,
+    squarefree_part,
+    zadd,
+    zgcd,
+    zmul,
+    zquo,
+    zsquarefree,
+    zsub,
+)
 from .trees import (
     Branch,
     Compute,
@@ -64,50 +79,20 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def _strip(cs: list) -> tuple:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
-
-
-def _psub(a: tuple, b: tuple) -> tuple:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _strip(out)
-
-
-def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _strip(out)
-
-
 def _vkey(v: _Value):
     num, den = v
     return (len(den), den, len(num), num)
 
 
-def _to_poly(t: tuple) -> DensePoly:
-    return DensePoly(t)
+def _integral(*coeffs: tuple) -> Tuple[tuple, ...]:
+    """Rational coefficient tuples scaled by one common factor to integers."""
+    m = lcm(*(c.denominator for cs in coeffs for c in cs))
+    return tuple(tuple(c.numerator * (m // c.denominator) for c in cs)
+                 for cs in coeffs)
 
 
-def _from_poly(p: DensePoly) -> tuple:
-    return tuple(p.coeffs)
+def _over(cs: tuple, d: int) -> tuple:
+    return tuple(c // d if c % d == 0 else Fraction(c, d) for c in cs)
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,6 @@ class _Enumerator:
         if bad:
             raise TreeError(f"unknown ops {sorted(bad)}")
         self.ops = tuple(op for op in _OP_ORDER if op in set(ops))
-        self.div_enabled = "div" in self.ops
         consts = sorted({Fraction(c) for c in constants})
         self.constants = tuple(
             c.numerator if c.denominator == 1 else c for c in consts)
@@ -138,12 +122,11 @@ class _Enumerator:
         self.max_states = max_states
         self.states = 0
         self._computes_cache: Dict[tuple, list] = {}
-        self._sf_cache: Dict[tuple, DensePoly] = {}
-        self._gcd_cache: Dict[tuple, DensePoly] = {}
+        self._sf_cache: Dict[tuple, tuple] = {}
+        self._gcd_cache: Dict[tuple, tuple] = {}
         self._count_memo: Dict[tuple, int] = {}
         self._witness_memo: Dict[tuple, object] = {}
-        self.one = DensePoly.one()
-        self.ctx0 = ("cof", self.one)
+        self.ctx0 = ("cof", _ONE_T)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -154,26 +137,37 @@ class _Enumerator:
 
     # -- value arithmetic ----------------------------------------------------
 
-    def _arith(self, op: str, a: _Value, b: _Value) -> Optional[_Value]:
+    def _arith(self, op: str, a: _Value, b: _Value) -> _Value:
         an, ad = a
         bn, bd = b
-        if ad == _ONE_T and bd == _ONE_T:
+        if op != "div" and ad == _ONE_T and bd == _ONE_T:
             if op == "add":
-                return (_padd(an, bn), _ONE_T)
+                return (zadd(an, bn), _ONE_T)
             if op == "sub":
-                return (_psub(an, bn), _ONE_T)
-            if op == "mul":
-                return (_pmul(an, bn), _ONE_T)
-        # rational-function fallback (division or nontrivial denominators)
-        from .trees import RatFunc
-
-        ra = RatFunc.of(_to_poly(an), _to_poly(ad))
-        rb = RatFunc.of(_to_poly(bn), _to_poly(bd))
-        r = ra.arith(op, rb)
-        return (_from_poly(r.num), _from_poly(r.den))
+                return (zsub(an, bn), _ONE_T)
+            return (zmul(an, bn), _ONE_T)
+        # rational functions: combine over Z, reduce, make the denominator monic
+        an, ad, bn, bd = _integral(an, ad, bn, bd)
+        if op == "add":
+            num, den = zadd(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
+        elif op == "sub":
+            num, den = zsub(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
+        elif op == "mul":
+            num, den = zmul(an, bn), zmul(ad, bd)
+        else:
+            num, den = zmul(an, bd), zmul(ad, bn)
+        if not num:
+            return ((), _ONE_T)
+        g = zgcd(num, den)
+        if len(g) > 1:
+            num, den = zquo(num, g), zquo(den, g)
+        return (_over(num, den[-1]), _over(den, den[-1]))
 
     def computes(self, env: Tuple[_Value, ...]) -> list:
-        """Distinct new values producible in one step: [(value, op, lhs, rhs)], sorted."""
+        """Distinct new values producible in one step, sorted.
+
+        Each entry is (value, op, lhs, rhs, child environment).
+        """
         cached = self._computes_cache.get(env)
         if cached is not None:
             return cached
@@ -191,54 +185,61 @@ class _Enumerator:
                     if v in seen or v in out:
                         continue
                     out[v] = (op, a, b)
-        result = [(v, op, a, b) for v, (op, a, b) in out.items()]
-        result.sort(key=lambda item: _vkey(item[0]))
+        keys = [_vkey(e) for e in env]
+        result = []
+        for vkey, v in sorted((_vkey(v), v) for v in out):  # keys are distinct
+            k = bisect_left(keys, vkey)
+            result.append((v, *out[v], env[:k] + (v,) + env[k:]))
         self._computes_cache[env] = result
         return result
 
     # -- context algebra -----------------------------------------------------
 
-    def sf(self, num: tuple) -> DensePoly:
+    def sf(self, num: tuple) -> tuple:
         got = self._sf_cache.get(num)
         if got is None:
-            got = squarefree_part(_to_poly(num))
+            got = zsquarefree(_integral(num)[0])
             self._sf_cache[num] = got
         return got
 
-    def gcd(self, a: DensePoly, b: DensePoly) -> DensePoly:
-        key = (a.coeffs, b.coeffs) if a.coeffs <= b.coeffs else (b.coeffs, a.coeffs)
+    def gcd(self, a: tuple, b: tuple) -> tuple:
+        key = (a, b) if a <= b else (b, a)
         got = self._gcd_cache.get(key)
         if got is None:
-            got = a.gcd(b)
+            got = zgcd(a, b)
             self._gcd_cache[key] = got
         return got
 
-    def split_ctx(self, ctx, s: DensePoly):
+    def new_roots(self, s: tuple, w: tuple) -> tuple:
+        """The factor of squarefree s vanishing on no root of squarefree w."""
+        return s if len(w) == 1 else zquo(s, self.gcd(s, w))
+
+    def split_ctx(self, ctx, s: tuple):
         """Split a context along the zero set of s; None when the test is determined."""
         kind, w = ctx
         if kind == "cof":
-            z = s if w.degree == 0 else (s // self.gcd(s, w)).monic()
-            if z.degree == 0:
+            z = self.new_roots(s, w)
+            if len(z) == 1:
                 return None  # every root already excluded: test is nonzero
-            return ("fin", z), ("cof", w * z)
+            return ("fin", z), ("cof", zmul(w, z))
         c = self.gcd(w, s)
-        if c.degree == 0:
+        if len(c) == 1:
             return None  # no reachable input zeroes the test
         if c == w:
             return None  # every reachable input zeroes the test
-        return ("fin", c), ("fin", (w // c).monic())
+        return ("fin", c), ("fin", zquo(w, c))
 
-    def exclude(self, ctx, s: DensePoly):
+    def exclude(self, ctx, s: tuple):
         """Remove the zero set of s from a context (division domain hole); None if emptied."""
         kind, w = ctx
         if kind == "cof":
-            z = s if w.degree == 0 else (s // self.gcd(s, w)).monic()
-            return ctx if z.degree == 0 else ("cof", w * z)
+            z = self.new_roots(s, w)
+            return ctx if len(z) == 1 else ("cof", zmul(w, z))
         c = self.gcd(w, s)
-        if c.degree == 0:
+        if len(c) == 1:
             return ctx
-        w2 = (w // c).monic()
-        return None if w2.degree == 0 else ("fin", w2)
+        w2 = zquo(w, c)
+        return None if len(w2) == 1 else ("fin", w2)
 
     def branches(self, env: Tuple[_Value, ...], ctx) -> list:
         out = []
@@ -250,9 +251,6 @@ class _Enumerator:
                 continue
             out.append((v, split[0], split[1]))
         return out
-
-    def _insert(self, env: Tuple[_Value, ...], v: _Value) -> Tuple[_Value, ...]:
-        return tuple(sorted(env + (v,), key=_vkey))
 
     def _compute_ctx(self, op: str, rhs: _Value, ctx):
         """Context after a compute step: division punches the divisor's zeros out."""
@@ -274,11 +272,11 @@ class _Enumerator:
             return got
         self._tick()
         total = 2
-        for v, op, _a, rhs in self.computes(env):
+        for _v, op, _a, rhs, env2 in self.computes(env):
             ctx2 = self._compute_ctx(op, rhs, ctx)
             if ctx2 is None:
                 continue  # no input survives: subtree unreachable
-            total += self.count(self._insert(env, v), ctx2, budget - 1)
+            total += self.count(env2, ctx2, budget - 1)
         for _v, zctx, nctx in self.branches(env, ctx):
             total += self.count(env, zctx, budget - 1) * self.count(env, nctx, budget - 1)
         self._count_memo[key] = total
@@ -286,11 +284,11 @@ class _Enumerator:
 
     # -- witness search ---------------------------------------------------------
 
-    def witness(self, env: Tuple[_Value, ...], ctx, goal: DensePoly, budget: int):
-        """Semantic tree deciding `goal` within `ctx`, or None. Goal is monic squarefree."""
+    def witness(self, env: Tuple[_Value, ...], ctx, goal: tuple, budget: int):
+        """Semantic tree deciding `goal` within `ctx`, or None. Goal is primitive squarefree."""
         if ctx[0] == "fin" and ctx[1] == goal:
             return ("leaf", True)
-        if goal.degree == 0:
+        if len(goal) == 1:
             return ("leaf", False)
         if budget == 0:
             return None
@@ -299,24 +297,23 @@ class _Enumerator:
             return self._witness_memo[key]
         self._tick()
         found = None
-        for v, op, lhs, rhs in self.computes(env):
+        for _v, op, lhs, rhs, env2 in self.computes(env):
             ctx2 = self._compute_ctx(op, rhs, ctx)
             if ctx2 is None:
                 continue
             if ctx2 is not ctx:
                 # inputs lost to the division hole are rejected; if any goal
                 # point is among them the subtree cannot decide the goal
-                hole = self.sf(rhs[0])
-                if self.gcd(goal, hole).degree > 0:
+                if len(self.gcd(goal, self.sf(rhs[0]))) > 1:
                     continue
-            sub = self.witness(self._insert(env, v), ctx2, goal, budget - 1)
+            sub = self.witness(env2, ctx2, goal, budget - 1)
             if sub is not None:
                 found = ("compute", op, lhs, rhs, sub)
                 break
         if found is None:
             for v, zctx, nctx in self.branches(env, ctx):
                 zgoal = self.gcd(goal, zctx[1])
-                ngoal = (goal // zgoal).monic() if zgoal.degree > 0 else goal
+                ngoal = zquo(goal, zgoal) if len(zgoal) > 1 else goal
                 zsub = self.witness(env, zctx, zgoal, budget - 1)
                 if zsub is None:
                     continue
@@ -328,9 +325,29 @@ class _Enumerator:
         self._witness_memo[key] = found
         return found
 
+    def find_witness(self, target: DensePoly, goal: tuple, max_depth: int) -> Optional[Node]:
+        """The shallowest witness tree by iterative deepening, checked with `decides`.
+
+        Raises BudgetExceeded when the state budget runs out first.
+        """
+        if len(goal) == 1:
+            sem = ("leaf", False)  # empty root set: always-reject decides it
+        else:
+            sem = None
+            for budget in range(1, max_depth + 1):
+                sem = self.witness(self.env0, self.ctx0, goal, budget)
+                if sem is not None:
+                    break
+        if sem is None:
+            return None
+        tree = self.to_tree(sem)
+        if not decides(tree, target):
+            raise RuntimeError("enumerator produced a non-deciding witness")
+        return tree
+
     # -- generic-path sweep -------------------------------------------------------
 
-    def sweep_paths(self, env: Tuple[_Value, ...], excl: DensePoly, g: tuple,
+    def sweep_paths(self, env: Tuple[_Value, ...], excl: tuple, g: tuple,
                     used: int, max_depth: int,
                     results: Dict[tuple, int], visited: set) -> None:
         """Record every distinct (generic-path polynomial, depth) reachable from here."""
@@ -344,23 +361,21 @@ class _Enumerator:
             results[g] = used
         if used == max_depth:
             return
-        for v, op, _lhs, rhs in self.computes(env):
+        for _v, op, _lhs, rhs, env2 in self.computes(env):
             excl2 = excl
             if op == "div" and len(rhs[0]) >= 2:
-                hole = self.sf(rhs[0])
-                z = hole if excl.degree == 0 else (hole // self.gcd(hole, excl)).monic()
-                if z.degree > 0:
-                    excl2 = excl * z
-            self.sweep_paths(self._insert(env, v), excl2, g, used + 1,
+                z = self.new_roots(self.sf(rhs[0]), excl)
+                if len(z) > 1:
+                    excl2 = zmul(excl, z)
+            self.sweep_paths(env2, excl2, g, used + 1,
                              max_depth, results, visited)
         for v in env:
             if len(v[0]) < 2:
                 continue
-            s = self.sf(v[0])
-            z = s if excl.degree == 0 else (s // self.gcd(s, excl)).monic()
-            if z.degree == 0:
+            z = self.new_roots(self.sf(v[0]), excl)
+            if len(z) == 1:
                 continue  # determined nonzero: branch pruned
-            self.sweep_paths(env, excl * z, _pmul(g, v[0]), used + 1,
+            self.sweep_paths(env, zmul(excl, z), zmul(g, v[0]), used + 1,
                              max_depth, results, visited)
 
     # -- semantic witness -> explicit tree ----------------------------------------
@@ -390,85 +405,6 @@ class _Enumerator:
         for c in reversed(self.constants):
             body = Const(Fraction(c), body)
         return Input(body)
-
-
-# -- root-item partitioning ------------------------------------------------------
-
-
-def _root_items(enum: _Enumerator, max_depth: int) -> list:
-    """The root-level transitions, in canonical order; the partition unit for workers."""
-    if max_depth == 0:
-        return []
-    items = []
-    for v, op, lhs, rhs in enum.computes(enum.env0):
-        items.append(("compute", v, op, lhs, rhs))
-    for v, zctx, nctx in enum.branches(enum.env0, enum.ctx0):
-        items.append(("branch", v, zctx, nctx))
-    return items
-
-
-_WORKER_CFG: dict = {}
-
-
-def _worker_init(cfg: dict) -> None:
-    _WORKER_CFG.update(cfg)
-
-
-def _run_item(task: Tuple[str, int, int]):
-    phase, idx, budget = task
-    cfg = _WORKER_CFG
-    enum = _Enumerator(cfg["ops"], cfg["constants"], cfg["max_states"])
-    max_depth = cfg["max_depth"]
-    items = _root_items(enum, max_depth)
-    item = items[idx]
-    try:
-        if phase == "witness":
-            goal = DensePoly(cfg["goal"])
-            if item[0] == "compute":
-                _, v, op, lhs, rhs = item
-                ctx2 = enum._compute_ctx(op, rhs, enum.ctx0)
-                if ctx2 is None or (ctx2 is not enum.ctx0 and
-                                    enum.gcd(goal, enum.sf(rhs[0])).degree > 0):
-                    return ("ok", None)
-                sub = enum.witness(enum._insert(enum.env0, v), ctx2, goal, budget - 1)
-                return ("ok", None if sub is None else ("compute", op, lhs, rhs, sub))
-            _, v, zctx, nctx = item
-            zgoal = enum.gcd(goal, zctx[1])
-            ngoal = (goal // zgoal).monic() if zgoal.degree > 0 else goal
-            zsub = enum.witness(enum.env0, zctx, zgoal, budget - 1)
-            if zsub is None:
-                return ("ok", None)
-            nsub = enum.witness(enum.env0, nctx, ngoal, budget - 1)
-            if nsub is None:
-                return ("ok", None)
-            return ("ok", ("branch", v, zsub, nsub))
-        if phase == "count":
-            if item[0] == "compute":
-                _, v, op, lhs, rhs = item
-                ctx2 = enum._compute_ctx(op, rhs, enum.ctx0)
-                if ctx2 is None:
-                    return ("ok", 0)
-                return ("ok", enum.count(enum._insert(enum.env0, v), ctx2, max_depth - 1))
-            _, v, zctx, nctx = item
-            return ("ok", enum.count(enum.env0, zctx, max_depth - 1)
-                    * enum.count(enum.env0, nctx, max_depth - 1))
-        # phase == "paths"
-        results: Dict[tuple, int] = {}
-        visited: set = set()
-        if item[0] == "compute":
-            _, v, op, lhs, rhs = item
-            excl = enum.one
-            if op == "div" and len(rhs[0]) >= 2:
-                excl = enum.sf(rhs[0])
-            enum.sweep_paths(enum._insert(enum.env0, v), excl, _ONE_T, 1,
-                             max_depth, results, visited)
-        else:
-            _, v, zctx, nctx = item
-            enum.sweep_paths(enum.env0, nctx[1], v[0], 1, max_depth,
-                             results, visited)
-        return ("ok", results)
-    except BudgetExceeded:
-        return ("budget", None)
 
 
 @dataclass(frozen=True)
@@ -527,9 +463,8 @@ def generic_path_classes(max_depth: int,
     """
     enum = _Enumerator(ops, constants, max_states)
     results: Dict[tuple, int] = {}
-    visited: set = set()
-    enum.sweep_paths(enum.env0, enum.one, _ONE_T, 0, max_depth, results, visited)
-    classes = [PathClass(_to_poly(g), t) for g, t in results.items()]
+    enum.sweep_paths(enum.env0, _ONE_T, _ONE_T, 0, max_depth, results, set())
+    classes = [PathClass(DensePoly(g), t) for g, t in results.items()]
     classes.sort(key=lambda pc: (pc.min_depth, len(pc.poly.coeffs), pc.poly.coeffs))
     return classes
 
@@ -543,6 +478,11 @@ def count_canonical_trees(max_depth: int,
     return enum.count(enum.env0, enum.ctx0, max_depth)
 
 
+def _goal(target: DensePoly) -> tuple:
+    """The target's roots as a primitive squarefree integer polynomial."""
+    return zsquarefree(_integral(target.coeffs)[0])
+
+
 def enumerate_and_refute(target: DensePoly,
                          max_depth: int,
                          ops: Sequence[str] = DEFAULT_OPS,
@@ -554,93 +494,37 @@ def enumerate_and_refute(target: DensePoly,
     Returns a witness tree when one exists, otherwise the canonical-tree
     count certifying the refutation; in both cases the generic-path
     polynomials of all enumerated trees are checked for divisibility by the
-    squarefree part of the target. The outcome is deterministic and
-    independent of the worker count.
+    squarefree part of the target. The outcome is deterministic. ``workers``
+    is accepted for compatibility and must be >= 1; the search runs in the
+    calling process, because a process pool measured slower than one shared
+    set of memo tables.
     """
     if target.is_zero:
         raise TreeError("refutation target must be nonzero")
     if max_depth < 0:
         raise TreeError("max_depth must be >= 0")
+    if workers < 1:
+        raise TreeError("workers must be >= 1")
     target_sf = squarefree_part(target)
+    goal = _goal(target)
     enum = _Enumerator(ops, constants, max_states)
-    items = _root_items(enum, max_depth)
-    cfg = {
-        "ops": enum.ops,
-        "constants": enum.constants,
-        "max_depth": max_depth,
-        "max_states": max_states,
-        "goal": tuple(target_sf.coeffs),
-    }
-
     inconclusive = False
-
-    def run_phase(phase: str, budget: int) -> list:
-        tasks = [(phase, i, budget) for i in range(len(items))]
-        if not tasks:
-            return []
-        if workers > 1:
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(workers, initializer=_worker_init, initargs=(cfg,)) as pool:
-                return pool.map(_run_item, tasks)
-        _worker_init(cfg)
-        return [_run_item(t) for t in tasks]
 
     # Phase 1: witness search, iterative deepening so shallow deciders are
     # found without exploring the full-depth state space.
-    sem_witness = None
-    if target_sf.degree == 0:
-        sem_witness = ("leaf", False)  # empty root set: always-reject decides it
     witness_complete = True
-    if sem_witness is None:
-        if workers > 1:
-            for budget in range(1, max_depth + 1):
-                for status, result in run_phase("witness", budget):
-                    if status == "budget":
-                        witness_complete = False
-                        inconclusive = True
-                    elif result is not None and sem_witness is None:
-                        sem_witness = result
-                if sem_witness is not None or not witness_complete:
-                    break
-        else:
-            _worker_init(cfg)
-            try:
-                for budget in range(1, max_depth + 1):
-                    sem_witness = enum.witness(enum.env0, enum.ctx0, target_sf, budget)
-                    if sem_witness is not None:
-                        break
-            except BudgetExceeded:
-                witness_complete = False
-                inconclusive = True
-
-    witness_text = witness_depth = None
-    witness_tree = None
-    if sem_witness is not None:
-        builder = enum if workers == 1 else _Enumerator(ops, constants, max_states)
-        witness_tree = builder.to_tree(sem_witness)
-        if not decides(witness_tree, target):
-            raise RuntimeError("enumerator produced a non-deciding witness")
-        witness_text = format_tree(witness_tree)
-        witness_depth = tree_depth(witness_tree)
+    try:
+        witness_tree = enum.find_witness(target, goal, max_depth)
+    except BudgetExceeded:
+        witness_tree = None
+        witness_complete = False
+        inconclusive = True
 
     # Phase 2: generic-path divisibility sweep.
-    path_results: Optional[Dict[tuple, int]] = {_ONE_T: 0}
+    path_results: Optional[Dict[tuple, int]] = {}
     try:
-        if workers > 1:
-            for status, result in run_phase("paths", max_depth):
-                if status == "budget":
-                    path_results = None
-                    inconclusive = True
-                    break
-                for g, t in result.items():
-                    if path_results.get(g, t + 1) > t:
-                        path_results[g] = t
-        else:
-            results: Dict[tuple, int] = {}
-            visited: set = set()
-            enum.sweep_paths(enum.env0, enum.one, _ONE_T, 0, max_depth,
-                             results, visited)
-            path_results = results
+        enum.sweep_paths(enum.env0, _ONE_T, _ONE_T, 0, max_depth,
+                         path_results, set())
     except BudgetExceeded:
         path_results = None
         inconclusive = True
@@ -648,23 +532,16 @@ def enumerate_and_refute(target: DensePoly,
     path_count = failures = all_fail = None
     if path_results is not None:
         path_count = len(path_results)
+        # goal divides g over Q iff their gcd is goal itself
         failures = sum(1 for g in path_results
-                       if not divides(target_sf, _to_poly(g)))
+                       if g and zgcd(goal, _integral(g)[0]) != goal)
         all_fail = failures == path_count
 
     # Phase 3: canonical-tree count, only for a refutation certificate.
     canonical = None
-    if sem_witness is None and witness_complete:
+    if witness_tree is None and witness_complete:
         try:
-            if workers > 1:
-                total = 2  # the two root leaves
-                for status, result in run_phase("count", max_depth):
-                    if status == "budget":
-                        raise BudgetExceeded("count phase")
-                    total += result
-                canonical = total
-            else:
-                canonical = enum.count(enum.env0, enum.ctx0, max_depth)
+            canonical = enum.count(enum.env0, enum.ctx0, max_depth)
         except BudgetExceeded:
             inconclusive = True
 
@@ -674,10 +551,10 @@ def enumerate_and_refute(target: DensePoly,
         max_depth=max_depth,
         ops=enum.ops,
         constants=tuple(Fraction(c) for c in enum.constants),
-        decided=sem_witness is not None,
-        witness=witness_text,
-        witness_depth=witness_depth,
-        refuted=sem_witness is None and witness_complete,
+        decided=witness_tree is not None,
+        witness=None if witness_tree is None else format_tree(witness_tree),
+        witness_depth=None if witness_tree is None else tree_depth(witness_tree),
+        refuted=witness_tree is None and witness_complete,
         canonical_trees=canonical,
         generic_path_classes=path_count,
         divisibility_failures=failures,
@@ -694,19 +571,5 @@ def find_decider(target: DensePoly,
     """Convenience wrapper: the witness tree deciding target's roots, or None."""
     if target.is_zero:
         raise TreeError("target must be nonzero")
-    target_sf = squarefree_part(target)
     enum = _Enumerator(ops, constants, max_states)
-    if target_sf.degree == 0:
-        sem = ("leaf", False)
-    else:
-        sem = None
-        for budget in range(1, max_depth + 1):
-            sem = enum.witness(enum.env0, enum.ctx0, target_sf, budget)
-            if sem is not None:
-                break
-    if sem is None:
-        return None
-    tree = enum.to_tree(sem)
-    if not decides(tree, target):
-        raise RuntimeError("enumerator produced a non-deciding witness")
-    return tree
+    return enum.find_witness(target, _goal(target), max_depth)

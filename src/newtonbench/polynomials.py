@@ -4,13 +4,17 @@
 arithmetic needed elsewhere (expansion from roots, exact division, gcd,
 squarefree part). ``ValuedPoly`` keeps only the 2-adic (or p-adic) valuation
 of each coefficient, which is the only feasible carrier for the hard
-families whose coefficients have millions of bits.
+families whose coefficients have millions of bits. The ``z*`` functions are
+a Fraction-free kernel on integer coefficient tuples (arithmetic, primitive
+part, gcd, exact quotient, squarefree part) for callers, like the tree
+enumerator, that need many small exact gcds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Tuple, Union
 
 from .valuation import (
@@ -277,6 +281,121 @@ def squarefree_part(f: DensePoly) -> DensePoly:
     return (f // g).monic()
 
 
+# -- integer kernel --------------------------------------------------------
+#
+# Polynomials over Z as tuples of ints, constant term first, no trailing
+# zeros; () is zero. A nonzero polynomial over Q is represented up to a
+# rational factor by its primitive part with positive leading coefficient,
+# which is unique (Gauss's lemma), so primitive tuples stand in for monic
+# polynomials as exact, Fraction-free keys. gcd and squarefree part follow
+# the primitive pseudo-remainder sequence (Collins 1967).
+
+
+def zstrip(cs: list) -> tuple:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def zadd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return zstrip(out)
+
+
+def zsub(a: tuple, b: tuple) -> tuple:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return zstrip(out)
+
+
+def zmul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return zstrip(out)
+
+
+def zprimitive(a: tuple) -> tuple:
+    """a divided by its content, sign chosen so the leading coefficient is positive."""
+    if not a:
+        return a
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _zprem(a: tuple, b: tuple) -> tuple:
+    """A nonzero integer multiple of the remainder of a by b over Q."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) > db:
+        c = r[-1]
+        shift = len(r) - 1 - db
+        if c % lead:
+            r = [x * lead for x in r]
+        else:
+            c //= lead
+        for j, bc in enumerate(b):
+            r[shift + j] -= c * bc
+        r.pop()  # the leading term cancels
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def zgcd(a: tuple, b: tuple) -> tuple:
+    """gcd over Q as a primitive polynomial with positive lead; gcd(0, 0) is 0."""
+    a, b = zprimitive(a), zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, zprimitive(_zprem(a, b))
+    return a
+
+
+def zquo(a: tuple, b: tuple) -> tuple:
+    """The quotient a / b, which must be exact over Z."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            q, rem = divmod(c, lead)
+            if rem:
+                raise PolynomialError(f"{b} does not divide {a}")
+            quot[i - db] = q
+            for j, bc in enumerate(b):
+                r[i - db + j] -= q * bc
+    if any(r):
+        raise PolynomialError(f"{b} does not divide {a}")
+    return zstrip(quot)
+
+
+def zsquarefree(a: tuple) -> tuple:
+    """Primitive squarefree part: the same roots, each once."""
+    if not a:
+        raise PolynomialError("squarefree part of the zero polynomial")
+    if len(a) == 1:
+        return (1,)
+    a = zprimitive(a)
+    return zquo(a, zgcd(a, tuple(i * c for i, c in enumerate(a))[1:]))
+
+
 class ValuedPoly:
     """Coefficient-index -> valuation view of a polynomial at a fixed prime.
 
@@ -375,6 +494,8 @@ def poly_to_json(poly: "DensePoly | ValuedPoly") -> dict:
 
 
 def poly_from_json(obj: dict) -> "DensePoly | ValuedPoly":
+    if not isinstance(obj, dict):
+        raise PolynomialError(f"a polynomial is a JSON object, not {type(obj).__name__}")
     kind = obj.get("repr")
     if kind == "dense":
         return DensePoly(parse_rational(c) for c in obj["coeffs"])

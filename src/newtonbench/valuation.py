@@ -79,7 +79,13 @@ def format_rational(q: Rational) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse a decimal rational string such as "-17/4"; ValuationError otherwise."""
+    if not isinstance(s, str):
+        raise ValuationError(f"expected a rational as a string, got {type(s).__name__} {s!r}")
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValuationError(f"not a rational: {s!r}") from None
 
 
 class ExtVal:

@@ -162,6 +162,38 @@ def test_refute_workers_flag_does_not_change_bytes(capsys):
     assert out1 == out2
 
 
+_BAD_FILES = {
+    "float.json": {"repr": "dense", "coeffs": [1.5, "2"]},
+    "list.json": ["1", "2"],
+    "badval.json": {"repr": "valued", "prime": 2, "degree": 1,
+                    "entries": [[0, "abc"], [1, "0"]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "--poly", "float.json"],
+    ["refute-trees", "--target", "float.json", "--max-depth", "1"],
+    ["polygon", "--poly", "list.json"],
+    ["refute-trees", "--target", "list.json", "--max-depth", "1"],
+    ["profile", "--poly", "badval.json"],
+    ["certify", "--family", "p:4", "--T", "-1"],
+    ["certify", "--family", "p:4", "--T", "0"],
+    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--constants", "1/0"],
+    ["subset-sums", "--values", "3,1/0"],
+    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--workers", "0"],
+    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--workers", "-3"],
+])
+def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, content in _BAD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_pretty_flag(capsys):
     _c, compact, _ = run(capsys, "thresholds", "--T", "2")
     _c, pretty, _ = run(capsys, "thresholds", "--T", "2", "--pretty")

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+
+from newtonbench.cli import main
 
 from newtonbench.enumeration import (
     BudgetExceeded,
@@ -169,3 +172,46 @@ def test_refute_with_division_enabled():
                                   ops=("add", "sub", "mul", "div"))
     assert report.refuted
     assert report.canonical_trees > count_canonical_trees(2)
+
+
+# sha256 of the compact `refute-trees` report, recorded before the enumerator
+# moved to the integer kernel; any change to a verdict, witness or count shows.
+_TARGETS = {
+    "q:2": "q:2",
+    "6x^2-6x": ["0", "-6", "6"],
+    "2x^4-2x^2": ["0", "0", "-2", "0", "2"],
+    "x^3+x": ["0", "1", "0", "1"],
+    "2x-1": ["-1", "2"],
+    "x^2-2": ["-2", "0", "1"],
+    "1013x^2-5x+3": ["3", "-5", "1013"],
+}
+_DIV = "add,sub,mul,div"
+_GOLDEN = [
+    ("q:2", 3, _DIV, 0, "9ef6a7a4fa620179beacf28e8c7d3dff5c07728348e6f149851a15b6d444baa7"),
+    ("6x^2-6x", 3, _DIV, 1, "6dc4671a29f9c4bf4bfc57db2029c60da8047102f9a4f06e862f2af8f772cfcf"),
+    ("2x^4-2x^2", 3, _DIV, 0, "d4d9133042770049f2947d2b768d493e5ad4dade560c512615ad3fa9c6000c69"),
+    ("x^3+x", 3, _DIV, 0, "1ca824e46fef4ef1191cf459a75fb2a90c836ee0cdc0e32e8e2c1973ba431f62"),
+    ("2x-1", 3, _DIV, 1, "067945b53f4be568ef9f3ecb81ca30b65778d4230b8122b30c0ed8fe1910b561"),
+    ("x^2-2", 3, _DIV, 0, "41a0b55d1285ce382cb2a46ed29e6c07df7c29559494b8657a721494904d9edd"),
+    ("1013x^2-5x+3", 3, _DIV, 0, "048baed6a0ff6879c25631445778a76852a2d3ea4b2fff7490107c0b9ed5e1e6"),
+    ("q:2", 4, "add,sub,mul", 0, "27d315d67d70f91ab15a9235b8636525ebacee49523529e76e11036b4df8ebb1"),
+    ("6x^2-6x", 4, "add,sub,mul", 1, "75101ead6c9467e8c6e153992cfafb2a97139a4828451c61422f4d0b1fd6a1c9"),
+    ("x^2-2", 4, "add,sub,mul", 1, "bcbbc4350dd4bed860af54a46c195b07aff3f0df391f2fed4d3eaf79eb9ba1ae"),
+]
+
+
+@pytest.mark.parametrize("name,max_depth,ops,code,digest", _GOLDEN)
+def test_refute_trees_report_bytes_golden(name, max_depth, ops, code, digest,
+                                          tmp_path, monkeypatch, capsys):
+    target = _TARGETS[name]
+    if isinstance(target, list):
+        # a relative path, because the report embeds the target as given
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "target.json").write_text(
+            json.dumps({"repr": "dense", "coeffs": target}))
+        target = "target.json"
+    got = main(["refute-trees", "--target", target, "--max-depth", str(max_depth),
+                "--ops", ops])
+    out = capsys.readouterr().out
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,13 @@ from newtonbench.polynomials import (
     poly_from_json,
     poly_to_json,
     squarefree_part,
+    zadd,
+    zgcd,
+    zmul,
+    zprimitive,
+    zquo,
+    zsquarefree,
+    zsub,
 )
 
 
@@ -170,3 +178,68 @@ def test_json_roundtrip():
     }
     with pytest.raises(PolynomialError):
         poly_from_json({"repr": "sparse"})
+
+
+def _zrandom(rng, max_deg=3):
+    deg = rng.randint(0, max_deg)
+    return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2, 5)),)
+
+
+def _zpair(rng):
+    """Two integer polynomials sharing a random factor, with repeated factors."""
+    h = _zrandom(rng, 2)
+    f = zmul(_zrandom(rng), _zrandom(rng, 1))
+    g = zmul(_zrandom(rng), h) if rng.random() < 0.5 else _zrandom(rng)
+    return zmul(zmul(f, h), h), zmul(g, rng.choice(((1,), (-4,), (6,))))
+
+
+def _primitive_of(poly: DensePoly) -> tuple:
+    m = math.lcm(*(c.denominator for c in poly.coeffs))
+    return zprimitive(tuple(int(c * m) for c in poly.coeffs))
+
+
+def test_integer_kernel_against_densepoly():
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = _zpair(rng)
+        A, B = DensePoly(a), DensePoly(b)
+        assert DensePoly(zadd(a, b)) == A + B
+        assert DensePoly(zsub(a, b)) == A - B
+        assert DensePoly(zmul(a, b)) == A * B
+        g = zgcd(a, b)
+        assert g == _primitive_of(A.gcd(B)) and g[-1] > 0
+        assert zgcd(b, a) == g
+        assert zsquarefree(a) == _primitive_of(squarefree_part(A))
+        assert zquo(zmul(a, b), b) == a
+        assert DensePoly(zquo(a, g)) == A // DensePoly(g)
+    assert zgcd((), ()) == ()
+    assert zgcd((), (0, -2)) == (0, 1)
+    assert zsquarefree((5,)) == (1,)
+    with pytest.raises(PolynomialError):
+        zsquarefree(())
+    with pytest.raises(PolynomialError):
+        zquo((1, 0, 1), (1, 1))  # remainder 2
+    with pytest.raises(PolynomialError):
+        zquo((1, 1), (0, 2))  # exact over Q only
+    with pytest.raises(ZeroDivisionError):
+        zquo((1, 1), ())
+
+
+def test_integer_kernel_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)), x, domain="ZZ")
+
+    def from_sympy(p):
+        return tuple(int(c) for c in reversed(p.all_coeffs()))
+
+    rng = random.Random(12)
+    for _ in range(150):
+        a, b = _zpair(rng)
+        g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+        assert zgcd(a, b) == zprimitive(g)
+        assert zsquarefree(a) == zprimitive(from_sympy(sympy.sqf_part(to_sympy(a))))
+        q, r = sympy.div(to_sympy(a), to_sympy(g))
+        assert r.is_zero and zquo(a, g) == from_sympy(q)
