@@ -141,6 +141,16 @@ def lemma_bound(d: int, D: int, constant: int = 28) -> LemmaBound:
     return LemmaBound(d, D, constant)
 
 
+def _count_subset_sums(vals: Sequence[Fraction]) -> int:
+    """Number of distinct subset sums, counted on the values times their common denominator."""
+    m = math.lcm(*(v.denominator for v in vals))
+    sums = {0}
+    for v in vals:
+        k = v.numerator * (m // v.denominator)
+        sums |= {s + k for s in sums}
+    return len(sums)
+
+
 def subset_sums_distinct(values: "GapSequence | Iterable[Rational]",
                          budget: int = DEFAULT_SUBSET_BUDGET) -> Tuple[int, bool]:
     """Brute-force count of distinct subset sums; distinct iff count == 2^n."""
@@ -149,10 +159,8 @@ def subset_sums_distinct(values: "GapSequence | Iterable[Rational]",
     n = len(vals)
     if n > budget:
         raise CertificateError(f"{n} values exceed the 2^{budget} enumeration budget")
-    sums = {Fraction(0)}
-    for v in vals:
-        sums |= {s + v for s in sums}
-    return len(sums), len(sums) == 1 << n
+    count = _count_subset_sums(vals)
+    return count, count == 1 << n
 
 
 def gap_condition(values: "GapSequence | Iterable[Rational]") -> bool:
@@ -183,10 +191,7 @@ def mu_lower_count(vp: ValuedPoly,
     if len(vals) > subset_budget:
         raise CertificateError(
             f"{len(vals)} finite entries exceed the subset budget {subset_budget}")
-    sums = {Fraction(0)}
-    for v in vals:
-        sums |= {s + v for s in sums}
-    return len(sums) + (1 if vp.has_zero_coefficients else 0)
+    return _count_subset_sums(vals) + (1 if vp.has_zero_coefficients else 0)
 
 
 def uniform_threshold(T: int) -> int:

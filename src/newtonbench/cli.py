@@ -179,8 +179,6 @@ def _cmd_gen(args) -> "tuple[dict, int]":
 
 
 def _cmd_refute_trees(args) -> "tuple[dict, int]":
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     if _FAMILY_RE.match(args.target.strip().lower()):
         fid = parse_family(args.target)
         target = gen_exact(fid)
@@ -197,8 +195,7 @@ def _cmd_refute_trees(args) -> "tuple[dict, int]":
     except ValueError as exc:
         raise UsageError(f"bad --constants: {exc}") from exc
     result = enumerate_and_refute(target, args.max_depth, ops=ops,
-                                  constants=constants, workers=args.workers,
-                                  max_states=args.max_states)
+                                  constants=constants, max_states=args.max_states)
     report = result.to_json()
     report["input"] = {
         "command": "refute-trees",
@@ -256,9 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--ops", default="add,sub,mul")
     p.add_argument("--constants", default="0,1")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility, must be >= 1; the search "
-                        "always runs in one process")
     p.add_argument("--max-states", type=int, default=5_000_000)
 
     for name, cmd in sub.choices.items():

@@ -28,6 +28,14 @@ across branch transitions, so witness search, canonical-tree counting and
 the generic-path sweep are all memoized dynamic programs over these states.
 Counts are therefore exact even when the number of canonical trees is far
 too large to materialize.
+
+The three programs share one transition generator. `split_ctx` is the only
+rule for how a context changes: a zero-test splits it into the inputs that
+zero the tested value and those that do not, and a division keeps the
+divisor's nonzero part. `steps` yields the reachable compute transitions
+and `branches` the undetermined zero-tests; each program only combines
+their children (a count sums them, the witness search looks for one that
+decides the goal, the sweep follows the nonzero side of every test).
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .trees import (
     Input,
     Leaf,
     Node,
+    OPS,
     TreeError,
     decides,
     depth as tree_depth,
@@ -67,7 +76,6 @@ from .valuation import Rational, format_rational
 
 DEFAULT_MAX_STATES = 5_000_000
 
-_OP_ORDER = ("add", "sub", "mul", "div")
 _ONE_T = (1,)
 
 # values are (numerator, denominator) coefficient tuples; denominators stay
@@ -108,10 +116,10 @@ class _Enumerator:
 
     def __init__(self, ops: Sequence[str], constants: Sequence[Rational],
                  max_states: int = DEFAULT_MAX_STATES):
-        bad = set(ops) - set(_OP_ORDER)
+        bad = set(ops) - set(OPS)
         if bad:
             raise TreeError(f"unknown ops {sorted(bad)}")
-        self.ops = tuple(op for op in _OP_ORDER if op in set(ops))
+        self.ops = tuple(op for op in OPS if op in set(ops))
         consts = sorted({Fraction(c) for c in constants})
         self.constants = tuple(
             c.numerator if c.denominator == 1 else c for c in consts)
@@ -210,56 +218,48 @@ class _Enumerator:
             self._gcd_cache[key] = got
         return got
 
-    def new_roots(self, s: tuple, w: tuple) -> tuple:
-        """The factor of squarefree s vanishing on no root of squarefree w."""
-        return s if len(w) == 1 else zquo(s, self.gcd(s, w))
-
     def split_ctx(self, ctx, s: tuple):
-        """Split a context along the zero set of s; None when the test is determined."""
+        """Split a context along the zero set of squarefree s: (zero part, nonzero part).
+
+        An empty part is None; a part equal to the whole context is `ctx` itself.
+        """
         kind, w = ctx
         if kind == "cof":
-            z = self.new_roots(s, w)
+            z = s if len(w) == 1 else zquo(s, self.gcd(s, w))  # roots not yet excluded
             if len(z) == 1:
-                return None  # every root already excluded: test is nonzero
+                return None, ctx
             return ("fin", z), ("cof", zmul(w, z))
         c = self.gcd(w, s)
         if len(c) == 1:
-            return None  # no reachable input zeroes the test
+            return None, ctx
         if c == w:
-            return None  # every reachable input zeroes the test
+            return ctx, None
         return ("fin", c), ("fin", zquo(w, c))
 
-    def exclude(self, ctx, s: tuple):
-        """Remove the zero set of s from a context (division domain hole); None if emptied."""
-        kind, w = ctx
-        if kind == "cof":
-            z = self.new_roots(s, w)
-            return ctx if len(z) == 1 else ("cof", zmul(w, z))
-        c = self.gcd(w, s)
-        if len(c) == 1:
-            return ctx
-        w2 = zquo(w, c)
-        return None if len(w2) == 1 else ("fin", w2)
-
     def branches(self, env: Tuple[_Value, ...], ctx) -> list:
+        """Zero-tests whose outcome the context leaves open: (value, zero ctx, nonzero ctx)."""
         out = []
         for v in env:
             if len(v[0]) < 2:
                 continue  # constant test: one child is unreachable
-            split = self.split_ctx(ctx, self.sf(v[0]))
-            if split is None:
-                continue
-            out.append((v, split[0], split[1]))
+            zctx, nctx = self.split_ctx(ctx, self.sf(v[0]))
+            if zctx is not None and nctx is not None:
+                out.append((v, zctx, nctx))
         return out
 
-    def _compute_ctx(self, op: str, rhs: _Value, ctx):
-        """Context after a compute step: division punches the divisor's zeros out."""
-        if op != "div":
-            return ctx
-        num = rhs[0]
-        if len(num) < 2:
-            return ctx  # nonzero constant divisor vanishes nowhere
-        return self.exclude(ctx, self.sf(num))
+    def steps(self, env: Tuple[_Value, ...], ctx):
+        """Compute transitions (value, op, lhs, rhs, child env, child ctx) some input reaches.
+
+        Division punches the divisor's zeros out of the context; a step
+        whose context that empties is unreachable and skipped.
+        """
+        for v, op, lhs, rhs, env2 in self.computes(env):
+            ctx2 = ctx
+            if op == "div" and len(rhs[0]) >= 2:  # a constant divisor vanishes nowhere
+                ctx2 = self.split_ctx(ctx, self.sf(rhs[0]))[1]
+                if ctx2 is None:
+                    continue
+            yield v, op, lhs, rhs, env2, ctx2
 
     # -- canonical tree count -------------------------------------------------
 
@@ -272,10 +272,7 @@ class _Enumerator:
             return got
         self._tick()
         total = 2
-        for _v, op, _a, rhs, env2 in self.computes(env):
-            ctx2 = self._compute_ctx(op, rhs, ctx)
-            if ctx2 is None:
-                continue  # no input survives: subtree unreachable
+        for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
             total += self.count(env2, ctx2, budget - 1)
         for _v, zctx, nctx in self.branches(env, ctx):
             total += self.count(env, zctx, budget - 1) * self.count(env, nctx, budget - 1)
@@ -297,10 +294,7 @@ class _Enumerator:
             return self._witness_memo[key]
         self._tick()
         found = None
-        for _v, op, lhs, rhs, env2 in self.computes(env):
-            ctx2 = self._compute_ctx(op, rhs, ctx)
-            if ctx2 is None:
-                continue
+        for v, op, lhs, rhs, env2, ctx2 in self.steps(env, ctx):
             if ctx2 is not ctx:
                 # inputs lost to the division hole are rejected; if any goal
                 # point is among them the subtree cannot decide the goal
@@ -308,7 +302,7 @@ class _Enumerator:
                     continue
             sub = self.witness(env2, ctx2, goal, budget - 1)
             if sub is not None:
-                found = ("compute", op, lhs, rhs, sub)
+                found = ("compute", v, op, lhs, rhs, sub)
                 break
         if found is None:
             for v, zctx, nctx in self.branches(env, ctx):
@@ -325,20 +319,17 @@ class _Enumerator:
         self._witness_memo[key] = found
         return found
 
-    def find_witness(self, target: DensePoly, goal: tuple, max_depth: int) -> Optional[Node]:
+    def find_witness(self, target: DensePoly, max_depth: int) -> Optional[Node]:
         """The shallowest witness tree by iterative deepening, checked with `decides`.
 
         Raises BudgetExceeded when the state budget runs out first.
         """
-        if len(goal) == 1:
-            sem = ("leaf", False)  # empty root set: always-reject decides it
+        goal = self.sf(target.coeffs)
+        for budget in range(max_depth + 1):
+            sem = self.witness(self.env0, self.ctx0, goal, budget)
+            if sem is not None:
+                break
         else:
-            sem = None
-            for budget in range(1, max_depth + 1):
-                sem = self.witness(self.env0, self.ctx0, goal, budget)
-                if sem is not None:
-                    break
-        if sem is None:
             return None
         tree = self.to_tree(sem)
         if not decides(tree, target):
@@ -347,11 +338,15 @@ class _Enumerator:
 
     # -- generic-path sweep -------------------------------------------------------
 
-    def sweep_paths(self, env: Tuple[_Value, ...], excl: tuple, g: tuple,
+    def sweep_paths(self, env: Tuple[_Value, ...], ctx, g: tuple,
                     used: int, max_depth: int,
                     results: Dict[tuple, int], visited: set) -> None:
-        """Record every distinct (generic-path polynomial, depth) reachable from here."""
-        key = (env, excl, g, used)
+        """Record every distinct (generic-path polynomial, depth) reachable from here.
+
+        The generic path takes the nonzero side of every test, so `ctx` is
+        always cofinite and `g` is the product of the tests taken.
+        """
+        key = (env, ctx[1], g, used)
         if key in visited:
             return
         visited.add(key)
@@ -361,21 +356,10 @@ class _Enumerator:
             results[g] = used
         if used == max_depth:
             return
-        for _v, op, _lhs, rhs, env2 in self.computes(env):
-            excl2 = excl
-            if op == "div" and len(rhs[0]) >= 2:
-                z = self.new_roots(self.sf(rhs[0]), excl)
-                if len(z) > 1:
-                    excl2 = zmul(excl, z)
-            self.sweep_paths(env2, excl2, g, used + 1,
-                             max_depth, results, visited)
-        for v in env:
-            if len(v[0]) < 2:
-                continue
-            z = self.new_roots(self.sf(v[0]), excl)
-            if len(z) == 1:
-                continue  # determined nonzero: branch pruned
-            self.sweep_paths(env, zmul(excl, z), zmul(g, v[0]), used + 1,
+        for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
+            self.sweep_paths(env2, ctx2, g, used + 1, max_depth, results, visited)
+        for v, _zctx, nctx in self.branches(env, ctx):
+            self.sweep_paths(env, nctx, zmul(g, v[0]), used + 1,
                              max_depth, results, visited)
 
     # -- semantic witness -> explicit tree ----------------------------------------
@@ -391,9 +375,9 @@ class _Enumerator:
             if kind == "leaf":
                 return Leaf(node[1])
             if kind == "compute":
-                _, op, lhs, rhs, child = node
+                _, v, op, lhs, rhs, child = node
                 idx = dict(index)
-                idx[self._arith(op, lhs, rhs)] = nvals
+                idx[v] = nvals
                 return Compute(op, index[lhs], index[rhs],
                                build(child, nvals + 1, idx))
             _, v, zsub, nsub = node
@@ -425,7 +409,6 @@ class RefutationReport:
     divisibility_failures: Optional[int]
     all_generic_paths_fail_divisibility: Optional[bool]
     inconclusive: bool
-    depth_measure: str = "total"
 
     def to_json(self) -> dict:
         return {
@@ -447,7 +430,7 @@ class RefutationReport:
             "all_generic_paths_fail_divisibility":
                 self.all_generic_paths_fail_divisibility,
             "inconclusive": self.inconclusive,
-            "depth_measure": self.depth_measure,
+            "depth_measure": "total",
         }
 
 
@@ -463,7 +446,7 @@ def generic_path_classes(max_depth: int,
     """
     enum = _Enumerator(ops, constants, max_states)
     results: Dict[tuple, int] = {}
-    enum.sweep_paths(enum.env0, _ONE_T, _ONE_T, 0, max_depth, results, set())
+    enum.sweep_paths(enum.env0, enum.ctx0, _ONE_T, 0, max_depth, results, set())
     classes = [PathClass(DensePoly(g), t) for g, t in results.items()]
     classes.sort(key=lambda pc: (pc.min_depth, len(pc.poly.coeffs), pc.poly.coeffs))
     return classes
@@ -478,35 +461,23 @@ def count_canonical_trees(max_depth: int,
     return enum.count(enum.env0, enum.ctx0, max_depth)
 
 
-def _goal(target: DensePoly) -> tuple:
-    """The target's roots as a primitive squarefree integer polynomial."""
-    return zsquarefree(_integral(target.coeffs)[0])
-
-
 def enumerate_and_refute(target: DensePoly,
                          max_depth: int,
                          ops: Sequence[str] = DEFAULT_OPS,
                          constants: Sequence[Rational] = DEFAULT_CONSTANTS,
-                         workers: int = 1,
                          max_states: int = DEFAULT_MAX_STATES) -> RefutationReport:
     """Search every canonical tree within the depth budget for a decider of target's roots.
 
     Returns a witness tree when one exists, otherwise the canonical-tree
     count certifying the refutation; in both cases the generic-path
     polynomials of all enumerated trees are checked for divisibility by the
-    squarefree part of the target. The outcome is deterministic. ``workers``
-    is accepted for compatibility and must be >= 1; the search runs in the
-    calling process, because a process pool measured slower than one shared
-    set of memo tables.
+    squarefree part of the target. The outcome is deterministic.
     """
     if target.is_zero:
         raise TreeError("refutation target must be nonzero")
     if max_depth < 0:
         raise TreeError("max_depth must be >= 0")
-    if workers < 1:
-        raise TreeError("workers must be >= 1")
     target_sf = squarefree_part(target)
-    goal = _goal(target)
     enum = _Enumerator(ops, constants, max_states)
     inconclusive = False
 
@@ -514,7 +485,7 @@ def enumerate_and_refute(target: DensePoly,
     # found without exploring the full-depth state space.
     witness_complete = True
     try:
-        witness_tree = enum.find_witness(target, goal, max_depth)
+        witness_tree = enum.find_witness(target, max_depth)
     except BudgetExceeded:
         witness_tree = None
         witness_complete = False
@@ -523,7 +494,7 @@ def enumerate_and_refute(target: DensePoly,
     # Phase 2: generic-path divisibility sweep.
     path_results: Optional[Dict[tuple, int]] = {}
     try:
-        enum.sweep_paths(enum.env0, _ONE_T, _ONE_T, 0, max_depth,
+        enum.sweep_paths(enum.env0, enum.ctx0, _ONE_T, 0, max_depth,
                          path_results, set())
     except BudgetExceeded:
         path_results = None
@@ -533,6 +504,7 @@ def enumerate_and_refute(target: DensePoly,
     if path_results is not None:
         path_count = len(path_results)
         # goal divides g over Q iff their gcd is goal itself
+        goal = enum.sf(target.coeffs)
         failures = sum(1 for g in path_results
                        if g and zgcd(goal, _integral(g)[0]) != goal)
         all_fail = failures == path_count
@@ -572,4 +544,4 @@ def find_decider(target: DensePoly,
     if target.is_zero:
         raise TreeError("target must be nonzero")
     enum = _Enumerator(ops, constants, max_states)
-    return enum.find_witness(target, _goal(target), max_depth)
+    return enum.find_witness(target, max_depth)

@@ -493,13 +493,27 @@ def poly_to_json(poly: "DensePoly | ValuedPoly") -> dict:
     raise PolynomialError(f"not a polynomial: {poly!r}")
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, not a count
+        raise PolynomialError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
 def poly_from_json(obj: dict) -> "DensePoly | ValuedPoly":
     if not isinstance(obj, dict):
         raise PolynomialError(f"a polynomial is a JSON object, not {type(obj).__name__}")
     kind = obj.get("repr")
     if kind == "dense":
-        return DensePoly(parse_rational(c) for c in obj["coeffs"])
+        coeffs = obj["coeffs"]
+        if not (isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs)):
+            raise PolynomialError('"coeffs" must be a list of rational strings')
+        return DensePoly(parse_rational(c) for c in coeffs)
     if kind == "valued":
-        entries = [(int(i), parse_rational(v)) for i, v in obj["entries"]]
-        return ValuedPoly(int(obj["prime"]), int(obj["degree"]), entries)
+        entries = obj["entries"]
+        if not (isinstance(entries, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+            raise PolynomialError('"entries" must be a list of [index, "valuation"] pairs')
+        pairs = [(_json_int(i, "an entry index"), parse_rational(v)) for i, v in entries]
+        return ValuedPoly(_json_int(obj["prime"], "prime"),
+                          _json_int(obj["degree"], "degree"), pairs)
     raise PolynomialError(f"unknown polynomial repr {kind!r}")

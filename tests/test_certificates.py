@@ -129,6 +129,9 @@ def test_subset_sums_examples():
     # the collision 22 = 13 + 9 entails the second one 30 = 22 + 8 = 13 + 9 + 8
 
     assert subset_sums_distinct([1]) == (2, True)
+    # non-integral values: 1/2 = 1/3 + 1/6 collides
+    assert subset_sums_distinct([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]) == (7, False)
+    assert subset_sums_distinct([Fraction(3, 4), Fraction(1, 3)]) == (4, True)
 
 
 def test_subset_sums_budget():
@@ -204,6 +207,10 @@ def test_mu_lower_count():
     assert mu_lower_count(ValuedPoly(2, 0, [(0, 5)])) == 2
     # zero coefficient adds the single value infinity
     assert mu_lower_count(ValuedPoly(2, 2, [(0, 1), (2, 2)])) == 5
+    thirds = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    assert mu_lower_count(ValuedPoly(2, 2, list(enumerate(thirds)))) == 7
+    assert mu_lower_count(ValuedPoly(2, 3, [(0, thirds[0]), (1, thirds[1]),
+                                            (3, thirds[2])])) == 8
     for d in range(1, 13):
         assert mu_lower_count(gen_valued(FamilyId("p", d))) == 1 << (d + 1)
     with pytest.raises(CertificateError):

@@ -154,19 +154,18 @@ def test_report_embeds_rerunnable_input(capsys):
     assert (code, report) == (code2, report2)
 
 
-def test_refute_workers_flag_does_not_change_bytes(capsys):
-    _c, out1, _ = run(capsys, "refute-trees", "--target", "q:2",
-                      "--max-depth", "2", "--workers", "1")
-    _c, out2, _ = run(capsys, "refute-trees", "--target", "q:2",
-                      "--max-depth", "2", "--workers", "2")
-    assert out1 == out2
-
-
 _BAD_FILES = {
     "float.json": {"repr": "dense", "coeffs": [1.5, "2"]},
     "list.json": ["1", "2"],
     "badval.json": {"repr": "valued", "prime": 2, "degree": 1,
                     "entries": [[0, "abc"], [1, "0"]]},
+    "strcoeffs.json": {"repr": "dense", "coeffs": "12"},
+    "strprime.json": {"repr": "valued", "prime": "two", "degree": 1,
+                      "entries": [[0, "1"], [1, "0"]]},
+    "strdegree.json": {"repr": "valued", "prime": 2, "degree": "x",
+                       "entries": [[0, "1"], [1, "0"]]},
+    "triple.json": {"repr": "valued", "prime": 2, "degree": 1,
+                    "entries": [[0, "1", 5], [1, "0"]]},
 }
 
 
@@ -180,8 +179,10 @@ _BAD_FILES = {
     ["certify", "--family", "p:4", "--T", "0"],
     ["refute-trees", "--target", "q:2", "--max-depth", "1", "--constants", "1/0"],
     ["subset-sums", "--values", "3,1/0"],
-    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--workers", "0"],
-    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--workers", "-3"],
+    ["refute-trees", "--target", "strcoeffs.json", "--max-depth", "1"],
+    ["polygon", "--poly", "strprime.json"],
+    ["profile", "--poly", "strdegree.json"],
+    ["polygon", "--poly", "triple.json"],
 ])
 def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
                                                      monkeypatch):
@@ -204,4 +205,7 @@ def test_pretty_flag(capsys):
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["refute-trees", "--target", "q:2", "--max-depth", "1", "--workers", "1"])
     assert err.value.code == 2
