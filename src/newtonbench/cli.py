@@ -190,6 +190,8 @@ def _cmd_refute_trees(args) -> "tuple[dict, int]":
         target = poly
         target_given = args.target
     ops = tuple(op.strip() for op in args.ops.split(",") if op.strip())
+    if not ops:
+        raise UsageError("--ops must name at least one operation")
     try:
         constants = tuple(parse_rational(c) for c in args.constants.split(",") if c.strip())
     except ValueError as exc:

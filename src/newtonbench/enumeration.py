@@ -36,6 +36,18 @@ divisor's nonzero part. `steps` yields the reachable compute transitions
 and `branches` the undetermined zero-tests; each program only combines
 their children (a count sums them, the witness search looks for one that
 decides the goal, the sweep follows the nonzero side of every test).
+
+Compute transitions are derived incrementally, by the semi-naive rule of
+Bancilhon and Ramakrishnan (1986). An environment env = sub + {v} has as
+new values those of sub other than v plus the values of the pairs with v as
+an operand, and a table depends on nothing but its environment, so
+`computes` starts from the cached table of any one-smaller sub-environment
+and evaluates only the pairs that involve v. A value produced both ways
+keeps whichever pair comes first in (op order, lhs index, rhs index), so
+witnesses and trees are those of a full scan. Each entry carries the index
+of its value in its child environment; the child environments of sub's
+values are spliced at that index, moved past v, and only the new values
+are keyed and bisected.
 """
 
 from __future__ import annotations
@@ -172,34 +184,75 @@ class _Enumerator:
         return (_over(num, den[-1]), _over(den, den[-1]))
 
     def computes(self, env: Tuple[_Value, ...]) -> list:
-        """Distinct new values producible in one step, sorted.
+        """Distinct new values producible in one step, sorted by `_vkey`.
 
-        Each entry is (value, op, lhs, rhs, child environment).
+        Each entry is (value, op, lhs, rhs, child environment, index of the
+        value in the child environment). (op, lhs, rhs) is the value's first
+        producing pair in (op order, lhs index, rhs index) order, with lhs
+        index <= rhs index for add and mul.
         """
-        cached = self._computes_cache.get(env)
-        if cached is not None:
-            return cached
-        seen = set(env)
-        out = {}
+        got = self._computes_cache.get(env)
+        if got is None:
+            got = self._computes_cache[env] = self._derive(env)
+        return got
+
+    def _derive(self, env: Tuple[_Value, ...]) -> list:
+        """The table of env = sub + {v} from a cached sub's table (semi-naive).
+
+        With no one-smaller sub-environment cached, the table of env without
+        its first value is derived uncached, down to the empty environment.
+        """
         n = len(env)
-        for op in self.ops:
-            commutative = op in ("add", "mul")
-            for i in range(n):
-                for j in range(i if commutative else 0, n):
-                    a, b = env[i], env[j]
-                    if op == "div" and not b[0]:
-                        continue  # division by the zero value is malformed
-                    v = self._arith(op, a, b)
-                    if v in seen or v in out:
-                        continue
-                    out[v] = (op, a, b)
-        keys = [_vkey(e) for e in env]
-        result = []
-        for vkey, v in sorted((_vkey(v), v) for v in out):  # keys are distinct
-            k = bisect_left(keys, vkey)
-            result.append((v, *out[v], env[:k] + (v,) + env[k:]))
-        self._computes_cache[env] = result
-        return result
+        if not n:
+            return []
+        for p in range(n - 1, -1, -1):
+            sub = env[:p] + env[p + 1:]
+            old = self._computes_cache.get(sub)
+            if old is not None:
+                break
+        else:
+            old = self._derive(sub)  # p == 0 here
+        v = env[p]
+        seen = set(env)
+        fresh = {}  # value -> its first new pair (op index, i, j)
+        for o, op in enumerate(self.ops):
+            if op in ("add", "mul"):
+                pairs = [(min(i, p), max(i, p)) for i in range(n)]
+            else:
+                pairs = ([(i, p) for i in range(p)] + [(p, j) for j in range(n)]
+                         + [(i, p) for i in range(p + 1, n)])
+            for i, j in pairs:
+                b = env[j]
+                if op == "div" and not b[0]:
+                    continue  # division by the zero value is malformed
+                w = self._arith(op, env[i], b)
+                if w not in seen and w not in fresh:
+                    fresh[w] = (o, i, j)
+        # sub's candidates other than v keep their order; each child
+        # environment is spliced at the carried index, shifted past v
+        vkey = _vkey(v)
+        table = []
+        for w, op, a, b, _env2, k in old:
+            if k > p:
+                k += 1
+            elif k == p:  # w and v fall in the same gap of sub
+                wkey = _vkey(w)
+                if wkey == vkey:
+                    continue  # v itself is no longer new
+                if wkey > vkey:
+                    k += 1
+            first = fresh.pop(w, None) if fresh else None
+            if first is not None and first < (self.ops.index(op), env.index(a),
+                                              env.index(b)):
+                o, i, j = first
+                op, a, b = self.ops[o], env[i], env[j]
+            table.append((w, op, a, b, env[:k] + (w,) + env[k:], k))
+        for w, (o, i, j) in fresh.items():
+            wkey = _vkey(w)
+            k = bisect_left(env, wkey, key=_vkey)
+            table.insert(bisect_left(table, wkey, key=lambda e: _vkey(e[0])),
+                         (w, self.ops[o], env[i], env[j], env[:k] + (w,) + env[k:], k))
+        return table
 
     # -- context algebra -----------------------------------------------------
 
@@ -253,7 +306,7 @@ class _Enumerator:
         Division punches the divisor's zeros out of the context; a step
         whose context that empties is unreachable and skipped.
         """
-        for v, op, lhs, rhs, env2 in self.computes(env):
+        for v, op, lhs, rhs, env2, _k in self.computes(env):
             ctx2 = ctx
             if op == "div" and len(rhs[0]) >= 2:  # a constant divisor vanishes nowhere
                 ctx2 = self.split_ctx(ctx, self.sf(rhs[0]))[1]

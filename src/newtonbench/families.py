@@ -7,9 +7,10 @@ At degree parameter d:
   * family x: the d+1 points 2^(2^(d*i)), i = 0..d, and their monic
     vanishing polynomial of degree d+1.
 
-The valuation-only representation is always cheap; the exact big-integer
-form is gated by a bit budget because the largest coefficient needs about
-2^(d^2) bits for p and for the x roots.
+The valuation-only representation is cheap, and the family parameter is
+capped so that it stays so; the exact big-integer form is gated by a bit
+budget because the largest coefficient needs about 2^(d^2) bits for p and
+for the x roots.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from typing import List
 from .polynomials import DensePoly, PolynomialError, RootSpec, ValuedPoly, from_roots
 
 DEFAULT_BIT_BUDGET = 1 << 20
+
+# Cap on the bits of all valuations in a valued form, about d^2/2 for q and
+# d^3/2 for p and x: the largest families admitted are q:8192, p:406, x:406.
+MAX_VALUATION_BITS = 1 << 25
 
 _KINDS = ("q", "p", "x")
 
@@ -48,6 +53,11 @@ class FamilyId:
             raise PolynomialError(f"unknown family kind {self.kind!r}")
         if self.d < 1:
             raise PolynomialError(f"family parameter d must be >= 1, got {self.d}")
+        bits = self.d ** (2 if self.kind == "q" else 3) // 2
+        if bits > MAX_VALUATION_BITS:
+            raise PolynomialError(
+                f"family parameter d = {self.d} too large: about {bits} valuation "
+                f"bits (cap {MAX_VALUATION_BITS})")
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.d}"
@@ -70,6 +80,8 @@ def _required_log2_bits(fid: FamilyId) -> int:
 
 
 def _check_budget(fid: FamilyId, bit_budget: int) -> None:
+    if bit_budget < 0:
+        raise PolynomialError(f"bit budget must be >= 0, got {bit_budget}")
     e = _required_log2_bits(fid)
     # 2^e <= budget  <=>  e <= floor(log2 budget); never materialize 2^e here
     if e > bit_budget.bit_length() - 1:

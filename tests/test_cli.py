@@ -183,6 +183,9 @@ _BAD_FILES = {
     ["polygon", "--poly", "strprime.json"],
     ["profile", "--poly", "strdegree.json"],
     ["polygon", "--poly", "triple.json"],
+    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--ops", ",,"],
+    ["gen", "--family", "q:2", "--repr", "exact", "--bit-budget", "-5"],
+    ["polygon", "--family", "q:99999999999"],
 ])
 def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
                                                      monkeypatch):

@@ -7,6 +7,9 @@ from newtonbench.cli import main
 
 from newtonbench.enumeration import (
     BudgetExceeded,
+    _Enumerator,
+    _ONE_T,
+    _vkey,
     count_canonical_trees,
     enumerate_and_refute,
     find_decider,
@@ -15,6 +18,7 @@ from newtonbench.enumeration import (
 from newtonbench.families import FamilyId, gen_exact
 from newtonbench.polynomials import DensePoly, divides, squarefree_part
 from newtonbench.trees import (
+    DEFAULT_CONSTANTS,
     TreeError,
     decides,
     depth,
@@ -154,6 +158,63 @@ def test_divisibility_necessary_condition_on_witness():
         w = find_decider(target, 4)
         g = trace_generic_path(w).poly
         assert divides(squarefree_part(target), g)
+
+
+# States per phase (witness, sweep, count) and environments with a computes
+# table when q:2 is refuted; a child environment built out of order would
+# still give the same reports but reach more environments, and so change
+# where a --max-states budget runs out.
+_REACHED = {
+    ("add,sub,mul", 4): (1341, 23509, 1390, 1081),
+    ("add,sub,mul,div", 3): (143, 2380, 144, 119),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_REACHED))
+def reached(request):
+    ops, max_depth = request.param
+    enum = _Enumerator(ops.split(","), DEFAULT_CONSTANTS)
+    assert enum.find_witness(gen_exact(FamilyId("q", 2)), max_depth) is None
+    states = [enum.states]
+    enum.sweep_paths(enum.env0, enum.ctx0, _ONE_T, 0, max_depth, {}, set())
+    states.append(enum.states)
+    enum.count(enum.env0, enum.ctx0, max_depth)
+    states.append(enum.states)
+    return request.param, enum, states
+
+
+def test_enumerator_counts_pinned(reached):
+    param, enum, (witness, sweep, count) = reached
+    assert (witness, sweep - witness, count - sweep,
+            len(enum._computes_cache)) == _REACHED[param]
+
+
+def _computes_from_scratch(enum, env):
+    """Every pair of env in (op, i, j) order; the first pair per new value wins."""
+    first = {}
+    for op in enum.ops:
+        for i in range(len(env)):
+            for j in range(i if op in ("add", "mul") else 0, len(env)):
+                if op == "div" and not env[j][0]:
+                    continue
+                v = enum._arith(op, env[i], env[j])
+                if v not in env and v not in first:
+                    first[v] = (op, env[i], env[j])
+    return [(v, *first[v], tuple(sorted(env + (v,), key=_vkey)))
+            for v in sorted(first, key=_vkey)]
+
+
+def test_incremental_computes_matches_from_scratch(reached):
+    param, enum, _states = reached
+    envs = list(enum._computes_cache)
+    for env in envs:
+        table = enum.computes(env)
+        assert [entry[:5] for entry in table] == _computes_from_scratch(enum, env)
+        assert all(env2[k] == v for v, _op, _a, _b, env2, k in table)
+    # derived with no cached parent, down from the empty environment
+    for env in envs[::97]:
+        fresh = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
+        assert fresh.computes(env) == enum.computes(env)
 
 
 def test_refute_with_division_enabled():

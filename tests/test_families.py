@@ -23,7 +23,9 @@ def test_parse_family():
     assert parse_family("q:5") == FamilyId("q", 5)
     assert parse_family("P:3") == FamilyId("p", 3)
     assert str(parse_family("x:2")) == "x:2"
-    for bad in ("y:2", "q", "q:0", "q:-1", "q:one"):
+    for ok in ("q:3000", "p:400", "x:60"):
+        parse_family(ok)
+    for bad in ("y:2", "q", "q:0", "q:-1", "q:one", "q:8193", "p:407", "x:407"):
         with pytest.raises(PolynomialError):
             parse_family(bad)
 
