@@ -27,6 +27,7 @@ from .certificates import (
 from .enumeration import enumerate_and_refute
 from .families import (
     DEFAULT_BIT_BUDGET,
+    MAX_VALUATION_BITS,
     RepresentationInfeasible,
     gen_exact,
     gen_valued,
@@ -106,8 +107,8 @@ def _cmd_profile(args) -> "tuple[dict, int]":
 
 
 def _cmd_certify(args) -> "tuple[dict, int]":
-    if args.T < 1:
-        raise UsageError("--T must be >= 1")
+    if not 1 <= args.T <= MAX_VALUATION_BITS:
+        raise UsageError(f"--T must be between 1 and {MAX_VALUATION_BITS}")
     fid = parse_family(args.family)
     vp = gen_valued(fid)
     D = 1 << args.T
@@ -189,6 +190,8 @@ def _cmd_refute_trees(args) -> "tuple[dict, int]":
             raise UsageError("refutation targets need exact coefficients (dense repr)")
         target = poly
         target_given = args.target
+    if args.max_states < 0:
+        raise UsageError("--max-states must be >= 0")
     ops = tuple(op.strip() for op in args.ops.split(",") if op.strip())
     if not ops:
         raise UsageError("--ops must name at least one operation")
@@ -255,7 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, required=True)
     p.add_argument("--ops", default="add,sub,mul")
     p.add_argument("--constants", default="0,1")
-    p.add_argument("--max-states", type=int, default=5_000_000)
+    p.add_argument("--max-states", type=int, default=5_000_000,
+                   help="budget of expanded enumerator states over all phases; "
+                        "terminal states (leaves, paths at the depth bound) are "
+                        "not counted")
 
     for name, cmd in sub.choices.items():
         cmd.add_argument("--pretty", action="store_true",

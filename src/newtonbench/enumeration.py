@@ -48,6 +48,20 @@ witnesses and trees are those of a full scan. Each entry carries the index
 of its value in its child environment; the child environments of sub's
 values are spliced at that index, moved past v, and only the new values
 are keyed and bisected.
+
+Each program closes its last level without expanding the leaves below it,
+so a table is built only for an environment whose steps lead to more than
+leaves. The sweep records g at the depth bound and returns, and one level
+above it follows only the branches, since a step keeps g. With one unit of
+budget left every child is a leaf. A step keeps its context and goal
+unless it divides, and a division hole matters to a leaf only in a finite
+context, which it can empty or shrink to the goal. Outside that case the
+witness search tries only the branches, and the count is 2 + 2S + 4B for
+S new values and B branches; S is counted from the parent's cached table
+by the same pair loop as `computes`, and the table is not built. A state
+in the `max_states` budget is an expanded state: a memo entry of the count
+or the witness search, or a visited key of the sweep below the depth bound.
+Leaves and the sweep's states at the bound are never counted.
 """
 
 from __future__ import annotations
@@ -196,25 +210,26 @@ class _Enumerator:
             got = self._computes_cache[env] = self._derive(env)
         return got
 
-    def _derive(self, env: Tuple[_Value, ...]) -> list:
-        """The table of env = sub + {v} from a cached sub's table (semi-naive).
+    def _parent(self, env: Tuple[_Value, ...]) -> Tuple[int, list]:
+        """(p, table of env without env[p]) for a cached one-smaller sub-environment.
 
-        With no one-smaller sub-environment cached, the table of env without
-        its first value is derived uncached, down to the empty environment.
+        With none cached, the table of env without its first value is
+        derived uncached, down to the empty environment.
+        """
+        for p in range(len(env) - 1, -1, -1):
+            old = self._computes_cache.get(env[:p] + env[p + 1:])
+            if old is not None:
+                return p, old
+        return 0, self._derive(env[1:])
+
+    def _fresh(self, env: Tuple[_Value, ...], p: int) -> dict:
+        """Values not in env of the pairs with env[p] as an operand.
+
+        Each maps to its first such pair (op index, lhs index, rhs index).
         """
         n = len(env)
-        if not n:
-            return []
-        for p in range(n - 1, -1, -1):
-            sub = env[:p] + env[p + 1:]
-            old = self._computes_cache.get(sub)
-            if old is not None:
-                break
-        else:
-            old = self._derive(sub)  # p == 0 here
-        v = env[p]
         seen = set(env)
-        fresh = {}  # value -> its first new pair (op index, i, j)
+        fresh = {}
         for o, op in enumerate(self.ops):
             if op in ("add", "mul"):
                 pairs = [(min(i, p), max(i, p)) for i in range(n)]
@@ -228,6 +243,15 @@ class _Enumerator:
                 w = self._arith(op, env[i], b)
                 if w not in seen and w not in fresh:
                     fresh[w] = (o, i, j)
+        return fresh
+
+    def _derive(self, env: Tuple[_Value, ...]) -> list:
+        """The table of env = sub + {v} from a cached sub's table (semi-naive)."""
+        if not env:
+            return []
+        p, old = self._parent(env)
+        v = env[p]
+        fresh = self._fresh(env, p)
         # sub's candidates other than v keep their order; each child
         # environment is spliced at the carried index, shifted past v
         vkey = _vkey(v)
@@ -253,6 +277,17 @@ class _Enumerator:
             table.insert(bisect_left(table, wkey, key=lambda e: _vkey(e[0])),
                          (w, self.ops[o], env[i], env[j], env[:k] + (w,) + env[k:], k))
         return table
+
+    def _new_values(self, env: Tuple[_Value, ...]) -> int:
+        """len(computes(env)); a table not cached is counted, not built."""
+        got = self._computes_cache.get(env)
+        if got is not None:
+            return len(got)
+        p, old = self._parent(env)
+        vals = {e[0] for e in old}
+        vals.discard(env[p])
+        vals.update(self._fresh(env, p))
+        return len(vals)
 
     # -- context algebra -----------------------------------------------------
 
@@ -314,6 +349,15 @@ class _Enumerator:
                     continue
             yield v, op, lhs, rhs, env2, ctx2
 
+    def _hole_matters(self, ctx) -> bool:
+        """Whether a step into a budget-0 leaf can depend on the step's context.
+
+        A step keeps its context unless a division punches the divisor's
+        zeros out of it, and only a finite context can be emptied or turned
+        into the goal that way.
+        """
+        return ctx[0] == "fin" and "div" in self.ops
+
     # -- canonical tree count -------------------------------------------------
 
     def count(self, env: Tuple[_Value, ...], ctx, budget: int) -> int:
@@ -324,11 +368,16 @@ class _Enumerator:
         if got is not None:
             return got
         self._tick()
-        total = 2
-        for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
-            total += self.count(env2, ctx2, budget - 1)
-        for _v, zctx, nctx in self.branches(env, ctx):
-            total += self.count(env, zctx, budget - 1) * self.count(env, nctx, budget - 1)
+        if budget == 1 and not self._hole_matters(ctx):
+            # every child is a leaf: two trees per step, four per branch
+            total = 2 + 2 * self._new_values(env) + 4 * len(self.branches(env, ctx))
+        else:
+            total = 2
+            for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
+                total += self.count(env2, ctx2, budget - 1)
+            for _v, zctx, nctx in self.branches(env, ctx):
+                total += (self.count(env, zctx, budget - 1)
+                          * self.count(env, nctx, budget - 1))
         self._count_memo[key] = total
         return total
 
@@ -347,7 +396,10 @@ class _Enumerator:
             return self._witness_memo[key]
         self._tick()
         found = None
-        for v, op, lhs, rhs, env2, ctx2 in self.steps(env, ctx):
+        steps = self.steps(env, ctx)
+        if budget == 1 and not self._hole_matters(ctx):
+            steps = ()  # a step keeps ctx and goal, so no leaf below it decides
+        for v, op, lhs, rhs, env2, ctx2 in steps:
             if ctx2 is not ctx:
                 # inputs lost to the division hole are rejected; if any goal
                 # point is among them the subtree cannot decide the goal
@@ -397,20 +449,23 @@ class _Enumerator:
         """Record every distinct (generic-path polynomial, depth) reachable from here.
 
         The generic path takes the nonzero side of every test, so `ctx` is
-        always cofinite and `g` is the product of the tests taken.
+        always cofinite and `g` is the product of the tests taken. A state at
+        the depth bound only records g; one level above it only the branches
+        can add a class, since a step keeps g.
         """
-        key = (env, ctx[1], g, used)
-        if key in visited:
-            return
-        visited.add(key)
-        self._tick()
         prev = results.get(g)
         if prev is None or used < prev:
             results[g] = used
         if used == max_depth:
             return
-        for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
-            self.sweep_paths(env2, ctx2, g, used + 1, max_depth, results, visited)
+        key = (env, ctx[1], g, used)
+        if key in visited:
+            return
+        visited.add(key)
+        self._tick()
+        if used + 1 < max_depth:
+            for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
+                self.sweep_paths(env2, ctx2, g, used + 1, max_depth, results, visited)
         for v, _zctx, nctx in self.branches(env, ctx):
             self.sweep_paths(env, nctx, zmul(g, v[0]), used + 1,
                              max_depth, results, visited)

@@ -5,7 +5,7 @@ import pytest
 from newtonbench import __version__
 from newtonbench.cli import main
 from newtonbench.polynomials import poly_to_json
-from newtonbench.families import FamilyId, gen_exact
+from newtonbench.families import MAX_VALUATION_BITS, FamilyId, gen_exact
 
 
 def run(capsys, *argv):
@@ -186,6 +186,8 @@ _BAD_FILES = {
     ["refute-trees", "--target", "q:2", "--max-depth", "1", "--ops", ",,"],
     ["gen", "--family", "q:2", "--repr", "exact", "--bit-budget", "-5"],
     ["polygon", "--family", "q:99999999999"],
+    ["refute-trees", "--target", "q:2", "--max-depth", "1", "--max-states", "-5"],
+    ["certify", "--family", "p:4", "--T", str(MAX_VALUATION_BITS + 1)],
 ])
 def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
                                                      monkeypatch):

@@ -16,7 +16,7 @@ from newtonbench.enumeration import (
     generic_path_classes,
 )
 from newtonbench.families import FamilyId, gen_exact
-from newtonbench.polynomials import DensePoly, divides, squarefree_part
+from newtonbench.polynomials import DensePoly, divides, squarefree_part, zquo
 from newtonbench.trees import (
     DEFAULT_CONSTANTS,
     TreeError,
@@ -160,14 +160,21 @@ def test_divisibility_necessary_condition_on_witness():
         assert divides(squarefree_part(target), g)
 
 
-# States per phase (witness, sweep, count) and environments with a computes
-# table when q:2 is refuted; a child environment built out of order would
-# still give the same reports but reach more environments, and so change
-# where a --max-states budget runs out.
+# Expanded states per phase (witness, sweep, count) and environments with a
+# computes table when q:2 is refuted; a child environment built out of order
+# would still give the same reports but reach more environments, and so
+# change where a --max-states budget runs out. Terminal states are not
+# counted: the sweep figures are the visited keys with used < max_depth of
+# the sweep that also expanded states at the depth bound (1,298 of 23,509
+# and 135 of 2,380), and a table is built only for an environment whose
+# steps lead to more than leaves.
 _REACHED = {
-    ("add,sub,mul", 4): (1341, 23509, 1390, 1081),
-    ("add,sub,mul,div", 3): (143, 2380, 144, 119),
+    ("add,sub,mul", 4): (1341, 1298, 1390, 84),
+    ("add,sub,mul,div", 3): (143, 135, 144, 10),
 }
+# The cached tables and the child environments they name: every environment
+# that had a table while the leaves' environments were still expanded.
+_FORMER_TABLES = {("add,sub,mul", 4): 1081, ("add,sub,mul,div", 3): 119}
 
 
 @pytest.fixture(scope="module", params=sorted(_REACHED))
@@ -207,14 +214,69 @@ def _computes_from_scratch(enum, env):
 def test_incremental_computes_matches_from_scratch(reached):
     param, enum, _states = reached
     envs = list(enum._computes_cache)
+    children = sorted({entry[4] for env in envs for entry in enum.computes(env)},
+                      key=lambda env: [_vkey(v) for v in env])
+    assert len(set(children) | set(envs)) == _FORMER_TABLES[param]
     for env in envs:
         table = enum.computes(env)
         assert [entry[:5] for entry in table] == _computes_from_scratch(enum, env)
         assert all(env2[k] == v for v, _op, _a, _b, env2, k in table)
+    # the leaves' environments: counted from the parent table, not built
+    for env in children:
+        assert enum._new_values(env) == len(_computes_from_scratch(enum, env))
+    assert set(enum._computes_cache) == set(envs)
     # derived with no cached parent, down from the empty environment
-    for env in envs[::97]:
+    for env in children[::97]:
         fresh = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
-        assert fresh.computes(env) == enum.computes(env)
+        assert [entry[:5] for entry in fresh.computes(env)] == \
+            _computes_from_scratch(enum, env)
+
+
+def test_last_level_closed_form_matches_recursion(reached):
+    # every budget-1 state against an explicit loop over its transitions into
+    # budget-0 leaves, run on an enumerator whose memos the closed form never saw
+    param, enum, _states = reached
+    oracle = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
+    counted = [(key, n) for key, n in enum._count_memo.items() if key[-1] == 1]
+    assert counted
+    for (env, kind, w, _budget), n in counted:
+        ctx = (kind, w)
+        steps = sum(oracle.count(env2, ctx2, 0)
+                    for *_, env2, ctx2 in oracle.steps(env, ctx))
+        tests = sum(oracle.count(env, zctx, 0) * oracle.count(env, nctx, 0)
+                    for _v, zctx, nctx in oracle.branches(env, ctx))
+        assert n == 2 + steps + tests
+    searched = [(key, w) for key, w in enum._witness_memo.items() if key[-1] == 1]
+    assert searched
+    for (env, kind, w, goal, _budget), found in searched:
+        assert found == _witness_by_recursion(oracle, env, (kind, w), goal)
+
+
+def _witness_by_recursion(enum, env, ctx, goal):
+    """The first budget-1 transition whose budget-0 children decide goal."""
+    for v, op, lhs, rhs, env2, ctx2 in enum.steps(env, ctx):
+        if ctx2 is not ctx and len(enum.gcd(goal, enum.sf(rhs[0]))) > 1:
+            continue
+        sub = enum.witness(env2, ctx2, goal, 0)
+        if sub is not None:
+            return ("compute", v, op, lhs, rhs, sub)
+    for v, zctx, nctx in enum.branches(env, ctx):
+        zgoal = enum.gcd(goal, zctx[1])
+        ngoal = zquo(goal, zgoal)  # the goal's roots on the nonzero side
+        zsub = enum.witness(env, zctx, zgoal, 0)
+        nsub = enum.witness(env, nctx, ngoal, 0)
+        if zsub is not None and nsub is not None:
+            return ("branch", v, zsub, nsub)
+    return None
+
+
+def test_last_level_division_hole_decides():
+    # on the inputs {0, 1}, 1/x punches out 0 and accepts exactly 1, which a
+    # step at budget 1 finds before the branch on x
+    enum = _Enumerator(("add", "sub", "mul", "div"), DEFAULT_CONSTANTS)
+    x, one = ((0, 1), _ONE_T), ((1,), _ONE_T)
+    assert enum.witness(enum.env0, ("fin", (0, -1, 1)), (-1, 1), 1) == \
+        ("compute", ((1,), (0, 1)), "div", one, x, ("leaf", True))
 
 
 def test_refute_with_division_enabled():
