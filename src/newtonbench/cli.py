@@ -106,9 +106,13 @@ def _cmd_profile(args) -> "tuple[dict, int]":
     return report, 0
 
 
-def _cmd_certify(args) -> "tuple[dict, int]":
-    if not 1 <= args.T <= MAX_VALUATION_BITS:
+def _check_T(T: int) -> None:
+    if not 1 <= T <= MAX_VALUATION_BITS:
         raise UsageError(f"--T must be between 1 and {MAX_VALUATION_BITS}")
+
+
+def _cmd_certify(args) -> "tuple[dict, int]":
+    _check_T(args.T)
     fid = parse_family(args.family)
     vp = gen_valued(fid)
     D = 1 << args.T
@@ -159,6 +163,7 @@ def _cmd_subset_sums(args) -> "tuple[dict, int]":
 
 
 def _cmd_thresholds(args) -> "tuple[dict, int]":
+    _check_T(args.T)
     report = {
         "uniform": uniform_threshold(args.T),
         "nonuniform": nonuniform_threshold(args.T, args.constant),

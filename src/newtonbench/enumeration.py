@@ -21,13 +21,19 @@ its squarefree polynomial over Z in primitive form with positive leading
 coefficient, the integer stand-in for the monic squarefree polynomial over
 Q, so contexts, goals and exclusions are plain int tuples and all context
 algebra is the integer kernel of `polynomials` (pseudo-remainder gcd, exact
-quotients). Values are (numerator, denominator) coefficient tuples; the
-denominator is monic and stays (1,) unless division is enabled. Deciding a
-target means accepting exactly the target's roots, which splits cleanly
-across branch transitions, so witness search, canonical-tree counting and
-the generic-path sweep are all memoized dynamic programs over these states.
-Counts are therefore exact even when the number of canonical trees is far
-too large to materialize.
+quotients). Deciding a target means accepting exactly the target's roots,
+which splits cleanly across branch transitions, so witness search,
+canonical-tree counting and the generic-path sweep are all memoized dynamic
+programs over these states. Counts are therefore exact even when the number
+of canonical trees is far too large to materialize.
+
+Values are (numerator, denominator) coefficient tuples, the denominator
+monic and (1,) unless division is enabled. Each is interned (hash-consing;
+Ershov 1958, Filliatre and Conchon 2006): its int id indexes an id -> value
+and an id -> `_vkey` table, environments are tuples of ids in `_vkey`
+order, and an arithmetic step is a lookup in a per-op table keyed by the
+operand ids, filled on a miss. The squarefree part of a value and each
+context split are cached per id.
 
 The three programs share one transition generator. `split_ctx` is the only
 rule for how a context changes: a zero-test splits it into the inputs that
@@ -129,6 +135,34 @@ def _over(cs: tuple, d: int) -> tuple:
     return tuple(c // d if c % d == 0 else Fraction(c, d) for c in cs)
 
 
+def _value(op: str, a: _Value, b: _Value) -> _Value:
+    """a op b, uncached: the arithmetic behind each new entry of the intern table."""
+    an, ad = a
+    bn, bd = b
+    if op != "div" and ad == _ONE_T and bd == _ONE_T:
+        if op == "add":
+            return (zadd(an, bn), _ONE_T)
+        if op == "sub":
+            return (zsub(an, bn), _ONE_T)
+        return (zmul(an, bn), _ONE_T)
+    # rational functions: combine over Z, reduce, make the denominator monic
+    an, ad, bn, bd = _integral(an, ad, bn, bd)
+    if op == "add":
+        num, den = zadd(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
+    elif op == "sub":
+        num, den = zsub(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
+    elif op == "mul":
+        num, den = zmul(an, bn), zmul(ad, bd)
+    else:
+        num, den = zmul(an, bd), zmul(ad, bn)
+    if not num:
+        return ((), _ONE_T)
+    g = zgcd(num, den)
+    if len(g) > 1:
+        num, den = zquo(num, g), zquo(den, g)
+    return (_over(num, den[-1]), _over(den, den[-1]))
+
+
 @dataclass(frozen=True)
 class PathClass:
     """One distinct canonical generic path: its polynomial and the least depth realizing it."""
@@ -149,14 +183,23 @@ class _Enumerator:
         consts = sorted({Fraction(c) for c in constants})
         self.constants = tuple(
             c.numerator if c.denominator == 1 else c for c in consts)
-        values = [((0, 1), _ONE_T)]  # the input x
-        for c in self.constants:
-            values.append(((() if c == 0 else (c,)), _ONE_T))
-        self.env0: Tuple[_Value, ...] = tuple(sorted(set(values), key=_vkey))
         self.max_states = max_states
         self.states = 0
+        # interned values: id -> value, id -> _vkey, value -> id, and the
+        # squarefree part of an id's numerator once it is needed
+        self._vals: List[_Value] = []
+        self._keys: List[tuple] = []
+        self._ids: Dict[_Value, int] = {}
+        self._sfs: Dict[int, tuple] = {}
+        # per op, the id of i op j under the key i << 32 | j
+        self._arith_ids: Dict[str, Dict[int, int]] = {op: {} for op in self.ops}
+        # the registers every tree starts with: the input x, then the constants
+        self._regs0 = (self._intern(((0, 1), _ONE_T)),) + tuple(
+            self._intern(((() if c == 0 else (c,)), _ONE_T)) for c in self.constants)
+        self.env0: Tuple[int, ...] = tuple(sorted(self._regs0, key=self._keys.__getitem__))
         self._computes_cache: Dict[tuple, list] = {}
-        self._sf_cache: Dict[tuple, tuple] = {}
+        self._plans: Dict[tuple, tuple] = {}
+        self._splits: Dict[tuple, dict] = {}
         self._gcd_cache: Dict[tuple, tuple] = {}
         self._count_memo: Dict[tuple, int] = {}
         self._witness_memo: Dict[tuple, object] = {}
@@ -171,33 +214,29 @@ class _Enumerator:
 
     # -- value arithmetic ----------------------------------------------------
 
-    def _arith(self, op: str, a: _Value, b: _Value) -> _Value:
-        an, ad = a
-        bn, bd = b
-        if op != "div" and ad == _ONE_T and bd == _ONE_T:
-            if op == "add":
-                return (zadd(an, bn), _ONE_T)
-            if op == "sub":
-                return (zsub(an, bn), _ONE_T)
-            return (zmul(an, bn), _ONE_T)
-        # rational functions: combine over Z, reduce, make the denominator monic
-        an, ad, bn, bd = _integral(an, ad, bn, bd)
-        if op == "add":
-            num, den = zadd(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
-        elif op == "sub":
-            num, den = zsub(zmul(an, bd), zmul(bn, ad)), zmul(ad, bd)
-        elif op == "mul":
-            num, den = zmul(an, bn), zmul(ad, bd)
-        else:
-            num, den = zmul(an, bd), zmul(ad, bn)
-        if not num:
-            return ((), _ONE_T)
-        g = zgcd(num, den)
-        if len(g) > 1:
-            num, den = zquo(num, g), zquo(den, g)
-        return (_over(num, den[-1]), _over(den, den[-1]))
+    def _intern(self, v: _Value) -> int:
+        i = self._ids.get(v)
+        if i is None:
+            i = self._ids[v] = len(self._vals)
+            self._vals.append(v)
+            self._keys.append(_vkey(v))
+        return i
 
-    def computes(self, env: Tuple[_Value, ...]) -> list:
+    def _arith(self, op: str, i: int, j: int) -> int:
+        """The id of value i op value j; the arithmetic runs on the first request only."""
+        table = self._arith_ids[op]
+        got = table.get(i << 32 | j)
+        if got is None:
+            neg = table.get(j << 32 | i) if op == "sub" else None
+            if neg is not None:  # i - j = -(j - i)
+                num, den = self._vals[neg]
+                got = self._intern((tuple(-c for c in num), den))
+            else:
+                got = self._intern(_value(op, self._vals[i], self._vals[j]))
+            table[i << 32 | j] = got
+        return got
+
+    def computes(self, env: Tuple[int, ...]) -> list:
         """Distinct new values producible in one step, sorted by `_vkey`.
 
         Each entry is (value, op, lhs, rhs, child environment, index of the
@@ -210,7 +249,7 @@ class _Enumerator:
             got = self._computes_cache[env] = self._derive(env)
         return got
 
-    def _parent(self, env: Tuple[_Value, ...]) -> Tuple[int, list]:
+    def _parent(self, env: Tuple[int, ...]) -> Tuple[int, list]:
         """(p, table of env without env[p]) for a cached one-smaller sub-environment.
 
         With none cached, the table of env without its first value is
@@ -222,48 +261,56 @@ class _Enumerator:
                 return p, old
         return 0, self._derive(env[1:])
 
-    def _fresh(self, env: Tuple[_Value, ...], p: int) -> dict:
+    def _plan(self, n: int, p: int) -> tuple:
+        """(op index, lhs index, rhs index) of each pair of n values with operand p, in order."""
+        got = self._plans.get((n, p))
+        if got is None:
+            left, right = [(i, p) for i in range(p)], [(p, j) for j in range(n)]
+            tail = [(i, p) for i in range(p + 1, n)]
+            got = self._plans[n, p] = tuple(
+                (o, i, j) for o, op in enumerate(self.ops)
+                for i, j in (left + right[p:] if op in ("add", "mul") else left + right + tail))
+        return got
+
+    def _fresh(self, env: Tuple[int, ...], p: int) -> dict:
         """Values not in env of the pairs with env[p] as an operand.
 
         Each maps to its first such pair (op index, lhs index, rhs index).
         """
-        n = len(env)
-        seen = set(env)
-        fresh = {}
-        for o, op in enumerate(self.ops):
-            if op in ("add", "mul"):
-                pairs = [(min(i, p), max(i, p)) for i in range(n)]
-            else:
-                pairs = ([(i, p) for i in range(p)] + [(p, j) for j in range(n)]
-                         + [(i, p) for i in range(p + 1, n)])
-            for i, j in pairs:
-                b = env[j]
-                if op == "div" and not b[0]:
+        fresh = dict.fromkeys(env)  # env's own values, dropped at the end
+        tables = [self._arith_ids[op] for op in self.ops]
+        for pair in self._plan(len(env), p):
+            o, i, j = pair
+            a, b = env[i], env[j]
+            w = tables[o].get(a << 32 | b)
+            if w is None:
+                if self.ops[o] == "div" and not self._vals[b][0]:
                     continue  # division by the zero value is malformed
-                w = self._arith(op, env[i], b)
-                if w not in seen and w not in fresh:
-                    fresh[w] = (o, i, j)
+                w = self._arith(self.ops[o], a, b)
+            if w not in fresh:
+                fresh[w] = pair
+        for u in env:
+            del fresh[u]
         return fresh
 
-    def _derive(self, env: Tuple[_Value, ...]) -> list:
+    def _derive(self, env: Tuple[int, ...]) -> list:
         """The table of env = sub + {v} from a cached sub's table (semi-naive)."""
         if not env:
             return []
         p, old = self._parent(env)
+        keys = self._keys
         v = env[p]
         fresh = self._fresh(env, p)
         # sub's candidates other than v keep their order; each child
         # environment is spliced at the carried index, shifted past v
-        vkey = _vkey(v)
         table = []
         for w, op, a, b, _env2, k in old:
             if k > p:
                 k += 1
             elif k == p:  # w and v fall in the same gap of sub
-                wkey = _vkey(w)
-                if wkey == vkey:
+                if w == v:
                     continue  # v itself is no longer new
-                if wkey > vkey:
+                if keys[w] > keys[v]:
                     k += 1
             first = fresh.pop(w, None) if fresh else None
             if first is not None and first < (self.ops.index(op), env.index(a),
@@ -272,13 +319,13 @@ class _Enumerator:
                 op, a, b = self.ops[o], env[i], env[j]
             table.append((w, op, a, b, env[:k] + (w,) + env[k:], k))
         for w, (o, i, j) in fresh.items():
-            wkey = _vkey(w)
-            k = bisect_left(env, wkey, key=_vkey)
-            table.insert(bisect_left(table, wkey, key=lambda e: _vkey(e[0])),
+            wkey = keys[w]
+            k = bisect_left(env, wkey, key=keys.__getitem__)
+            table.insert(bisect_left(table, wkey, key=lambda e: keys[e[0]]),
                          (w, self.ops[o], env[i], env[j], env[:k] + (w,) + env[k:], k))
         return table
 
-    def _new_values(self, env: Tuple[_Value, ...]) -> int:
+    def _new_values(self, env: Tuple[int, ...]) -> int:
         """len(computes(env)); a table not cached is counted, not built."""
         got = self._computes_cache.get(env)
         if got is not None:
@@ -291,11 +338,11 @@ class _Enumerator:
 
     # -- context algebra -----------------------------------------------------
 
-    def sf(self, num: tuple) -> tuple:
-        got = self._sf_cache.get(num)
+    def sf(self, v: int) -> tuple:
+        """The primitive squarefree part of value v's numerator."""
+        got = self._sfs.get(v)
         if got is None:
-            got = zsquarefree(_integral(num)[0])
-            self._sf_cache[num] = got
+            got = self._sfs[v] = zsquarefree(_integral(self._vals[v][0])[0])
         return got
 
     def gcd(self, a: tuple, b: tuple) -> tuple:
@@ -324,18 +371,26 @@ class _Enumerator:
             return ctx, None
         return ("fin", c), ("fin", zquo(w, c))
 
-    def branches(self, env: Tuple[_Value, ...], ctx) -> list:
+    def _split(self, ctx, v: int):
+        """split_ctx along value v's zeros, cached per (ctx, v); a constant splits nothing."""
+        memo = self._splits.setdefault(ctx, {})
+        got = memo.get(v)
+        if got is None:
+            got = memo[v] = ((None, ctx) if self._keys[v][2] < 2
+                             else self.split_ctx(ctx, self.sf(v)))
+        return got
+
+    def branches(self, env: Tuple[int, ...], ctx) -> list:
         """Zero-tests whose outcome the context leaves open: (value, zero ctx, nonzero ctx)."""
+        memo = self._splits.get(ctx, {})
         out = []
         for v in env:
-            if len(v[0]) < 2:
-                continue  # constant test: one child is unreachable
-            zctx, nctx = self.split_ctx(ctx, self.sf(v[0]))
+            zctx, nctx = memo.get(v) or self._split(ctx, v)
             if zctx is not None and nctx is not None:
                 out.append((v, zctx, nctx))
         return out
 
-    def steps(self, env: Tuple[_Value, ...], ctx):
+    def steps(self, env: Tuple[int, ...], ctx):
         """Compute transitions (value, op, lhs, rhs, child env, child ctx) some input reaches.
 
         Division punches the divisor's zeros out of the context; a step
@@ -343,8 +398,8 @@ class _Enumerator:
         """
         for v, op, lhs, rhs, env2, _k in self.computes(env):
             ctx2 = ctx
-            if op == "div" and len(rhs[0]) >= 2:  # a constant divisor vanishes nowhere
-                ctx2 = self.split_ctx(ctx, self.sf(rhs[0]))[1]
+            if op == "div":
+                ctx2 = self._split(ctx, rhs)[1]
                 if ctx2 is None:
                     continue
             yield v, op, lhs, rhs, env2, ctx2
@@ -360,7 +415,7 @@ class _Enumerator:
 
     # -- canonical tree count -------------------------------------------------
 
-    def count(self, env: Tuple[_Value, ...], ctx, budget: int) -> int:
+    def count(self, env: Tuple[int, ...], ctx, budget: int) -> int:
         if budget == 0:
             return 2
         key = (env, ctx[0], ctx[1], budget)
@@ -383,7 +438,7 @@ class _Enumerator:
 
     # -- witness search ---------------------------------------------------------
 
-    def witness(self, env: Tuple[_Value, ...], ctx, goal: tuple, budget: int):
+    def witness(self, env: Tuple[int, ...], ctx, goal: tuple, budget: int):
         """Semantic tree deciding `goal` within `ctx`, or None. Goal is primitive squarefree."""
         if ctx[0] == "fin" and ctx[1] == goal:
             return ("leaf", True)
@@ -400,10 +455,10 @@ class _Enumerator:
         if budget == 1 and not self._hole_matters(ctx):
             steps = ()  # a step keeps ctx and goal, so no leaf below it decides
         for v, op, lhs, rhs, env2, ctx2 in steps:
-            if ctx2 is not ctx:
+            if ctx2 != ctx:
                 # inputs lost to the division hole are rejected; if any goal
                 # point is among them the subtree cannot decide the goal
-                if len(self.gcd(goal, self.sf(rhs[0]))) > 1:
+                if len(self.gcd(goal, self.sf(rhs))) > 1:
                     continue
             sub = self.witness(env2, ctx2, goal, budget - 1)
             if sub is not None:
@@ -429,7 +484,7 @@ class _Enumerator:
 
         Raises BudgetExceeded when the state budget runs out first.
         """
-        goal = self.sf(target.coeffs)
+        goal = zsquarefree(_integral(target.coeffs)[0])
         for budget in range(max_depth + 1):
             sem = self.witness(self.env0, self.ctx0, goal, budget)
             if sem is not None:
@@ -443,7 +498,7 @@ class _Enumerator:
 
     # -- generic-path sweep -------------------------------------------------------
 
-    def sweep_paths(self, env: Tuple[_Value, ...], ctx, g: tuple,
+    def sweep_paths(self, env: Tuple[int, ...], ctx, g: tuple,
                     used: int, max_depth: int,
                     results: Dict[tuple, int], visited: set) -> None:
         """Record every distinct (generic-path polynomial, depth) reachable from here.
@@ -467,16 +522,13 @@ class _Enumerator:
             for _v, _op, _lhs, _rhs, env2, ctx2 in self.steps(env, ctx):
                 self.sweep_paths(env2, ctx2, g, used + 1, max_depth, results, visited)
         for v, _zctx, nctx in self.branches(env, ctx):
-            self.sweep_paths(env, nctx, zmul(g, v[0]), used + 1,
+            self.sweep_paths(env, nctx, zmul(g, self._vals[v][0]), used + 1,
                              max_depth, results, visited)
 
     # -- semantic witness -> explicit tree ----------------------------------------
 
     def to_tree(self, sem) -> Node:
-        regindex = {}
-        regindex[((0, 1), _ONE_T)] = 0
-        for k, c in enumerate(self.constants):
-            regindex[((() if c == 0 else (c,)), _ONE_T)] = k + 1
+        regindex = {v: k for k, v in enumerate(self._regs0)}
 
         def build(node, nvals: int, index: dict) -> Node:
             kind = node[0]
@@ -612,7 +664,7 @@ def enumerate_and_refute(target: DensePoly,
     if path_results is not None:
         path_count = len(path_results)
         # goal divides g over Q iff their gcd is goal itself
-        goal = enum.sf(target.coeffs)
+        goal = zsquarefree(_integral(target.coeffs)[0])
         failures = sum(1 for g in path_results
                        if g and zgcd(goal, _integral(g)[0]) != goal)
         all_fail = failures == path_count

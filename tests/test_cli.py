@@ -188,6 +188,7 @@ _BAD_FILES = {
     ["polygon", "--family", "q:99999999999"],
     ["refute-trees", "--target", "q:2", "--max-depth", "1", "--max-states", "-5"],
     ["certify", "--family", "p:4", "--T", str(MAX_VALUATION_BITS + 1)],
+    ["thresholds", "--T", "9" * 1500],
 ])
 def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
                                                      monkeypatch):

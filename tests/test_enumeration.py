@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from newtonbench.enumeration import (
     BudgetExceeded,
     _Enumerator,
     _ONE_T,
+    _value,
     _vkey,
     count_canonical_trees,
     enumerate_and_refute,
@@ -19,6 +21,7 @@ from newtonbench.families import FamilyId, gen_exact
 from newtonbench.polynomials import DensePoly, divides, squarefree_part, zquo
 from newtonbench.trees import (
     DEFAULT_CONSTANTS,
+    RatFunc,
     TreeError,
     decides,
     depth,
@@ -197,50 +200,127 @@ def test_enumerator_counts_pinned(reached):
 
 
 def _computes_from_scratch(enum, env):
-    """Every pair of env in (op, i, j) order; the first pair per new value wins."""
+    """Every pair of env in (op, i, j) order; the first pair per new value wins.
+
+    Works on env's decoded values with the uncached arithmetic `_value`, so
+    nothing here reads the enumerator's arithmetic table.
+    """
+    vals = [enum._vals[u] for u in env]
     first = {}
     for op in enum.ops:
-        for i in range(len(env)):
-            for j in range(i if op in ("add", "mul") else 0, len(env)):
-                if op == "div" and not env[j][0]:
+        for i in range(len(vals)):
+            for j in range(i if op in ("add", "mul") else 0, len(vals)):
+                if op == "div" and not vals[j][0]:
                     continue
-                v = enum._arith(op, env[i], env[j])
-                if v not in env and v not in first:
-                    first[v] = (op, env[i], env[j])
-    return [(v, *first[v], tuple(sorted(env + (v,), key=_vkey)))
+                v = _value(op, vals[i], vals[j])
+                if v not in vals and v not in first:
+                    first[v] = (op, vals[i], vals[j])
+    return [(v, *first[v], tuple(sorted(vals + [v], key=_vkey)))
             for v in sorted(first, key=_vkey)]
+
+
+def _decoded(enum, entry):
+    """A computes entry (value, op, lhs, rhs, child env) with its ids decoded."""
+    v, op, a, b, env2 = entry[:5]
+    vals = enum._vals
+    return (vals[v], op, vals[a], vals[b], tuple(vals[u] for u in env2))
+
+
+def _translated(enum, other, env):
+    """env's values as ids of the enumerator `other`."""
+    return tuple(other._intern(enum._vals[u]) for u in env)
+
+
+def _decoded_sem(enum, sem):
+    """A witness with every value id decoded."""
+    if sem is None or sem[0] == "leaf":
+        return sem
+    if sem[0] == "compute":
+        _, v, op, lhs, rhs, sub = sem
+        return ("compute", enum._vals[v], op, enum._vals[lhs], enum._vals[rhs],
+                _decoded_sem(enum, sub))
+    _, v, zsub, nsub = sem
+    return ("branch", enum._vals[v], _decoded_sem(enum, zsub), _decoded_sem(enum, nsub))
 
 
 def test_incremental_computes_matches_from_scratch(reached):
     param, enum, _states = reached
     envs = list(enum._computes_cache)
     children = sorted({entry[4] for env in envs for entry in enum.computes(env)},
-                      key=lambda env: [_vkey(v) for v in env])
+                      key=lambda env: [enum._keys[u] for u in env])
     assert len(set(children) | set(envs)) == _FORMER_TABLES[param]
     for env in envs:
         table = enum.computes(env)
-        assert [entry[:5] for entry in table] == _computes_from_scratch(enum, env)
+        assert [_decoded(enum, entry) for entry in table] == \
+            _computes_from_scratch(enum, env)
         assert all(env2[k] == v for v, _op, _a, _b, env2, k in table)
     # the leaves' environments: counted from the parent table, not built
     for env in children:
         assert enum._new_values(env) == len(_computes_from_scratch(enum, env))
     assert set(enum._computes_cache) == set(envs)
-    # derived with no cached parent, down from the empty environment
+    # derived with no cached parent, down from the empty environment, by an
+    # enumerator with its own intern table
     for env in children[::97]:
         fresh = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
-        assert [entry[:5] for entry in fresh.computes(env)] == \
+        assert [_decoded(fresh, entry)
+                for entry in fresh.computes(_translated(enum, fresh, env))] == \
             _computes_from_scratch(enum, env)
+
+
+def test_interned_tables_match_ratfunc_arithmetic(reached):
+    # every interned arithmetic result against `trees`' DensePoly/RatFunc
+    # arithmetic on the decoded operands, which shares no code with the
+    # integer kernel
+    _param, enum, _states = reached
+    vals = enum._vals
+
+    def ratfunc(v):
+        return RatFunc(DensePoly(v[0]), DensePoly(v[1]))
+
+    entries = [(op, *divmod(key, 1 << 32), k)
+               for op, table in enum._arith_ids.items() for key, k in table.items()]
+    assert len(entries) > len(vals) > len(enum.env0)
+    for op, i, j, k in entries:
+        assert ratfunc(vals[k]) == ratfunc(vals[i]).arith(op, ratfunc(vals[j]))
+    # ids <-> values is a bijection, and each id's key and squarefree part
+    # belong to its value
+    assert len(set(vals)) == len(vals) == len(enum._ids) == len(enum._keys)
+    assert all(enum._ids[v] == i for i, v in enumerate(vals))
+    assert all(enum._keys[i] == _vkey(v) for i, v in enumerate(vals))
+    assert enum._sfs
+    for i, sf in enum._sfs.items():
+        expect = squarefree_part(DensePoly(vals[i][0]))
+        assert sf[-1] > 0 and DensePoly(sf) * Fraction(1, sf[-1]) == expect
+    # every environment the enumerator holds is strictly sorted by _vkey
+    envs = set(enum._computes_cache)
+    envs.update(entry[4] for table in enum._computes_cache.values() for entry in table)
+    envs.update(key[0] for key in enum._count_memo)
+    envs.update(key[0] for key in enum._witness_memo)
+    for env in envs:
+        assert all(enum._keys[a] < enum._keys[b] for a, b in zip(env, env[1:]))
+    # the split memo against a fresh split on an enumerator with empty caches
+    fresh = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
+    splits = [(ctx, v, got) for ctx, memo in enum._splits.items()
+              for v, got in memo.items()]
+    assert splits
+    for ctx, v, got in splits:
+        num = vals[v][0]
+        if len(num) < 2:  # a constant splits nothing
+            assert got == (None, ctx)
+        else:
+            assert got == fresh.split_ctx(ctx, enum.sf(v))
 
 
 def test_last_level_closed_form_matches_recursion(reached):
     # every budget-1 state against an explicit loop over its transitions into
-    # budget-0 leaves, run on an enumerator whose memos the closed form never saw
+    # budget-0 leaves, run on an enumerator whose memos and intern table the
+    # closed form never saw
     param, enum, _states = reached
     oracle = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
     counted = [(key, n) for key, n in enum._count_memo.items() if key[-1] == 1]
     assert counted
     for (env, kind, w, _budget), n in counted:
-        ctx = (kind, w)
+        env, ctx = _translated(enum, oracle, env), (kind, w)
         steps = sum(oracle.count(env2, ctx2, 0)
                     for *_, env2, ctx2 in oracle.steps(env, ctx))
         tests = sum(oracle.count(env, zctx, 0) * oracle.count(env, nctx, 0)
@@ -249,13 +329,15 @@ def test_last_level_closed_form_matches_recursion(reached):
     searched = [(key, w) for key, w in enum._witness_memo.items() if key[-1] == 1]
     assert searched
     for (env, kind, w, goal, _budget), found in searched:
-        assert found == _witness_by_recursion(oracle, env, (kind, w), goal)
+        got = _witness_by_recursion(oracle, _translated(enum, oracle, env),
+                                    (kind, w), goal)
+        assert _decoded_sem(enum, found) == _decoded_sem(oracle, got)
 
 
 def _witness_by_recursion(enum, env, ctx, goal):
     """The first budget-1 transition whose budget-0 children decide goal."""
     for v, op, lhs, rhs, env2, ctx2 in enum.steps(env, ctx):
-        if ctx2 is not ctx and len(enum.gcd(goal, enum.sf(rhs[0]))) > 1:
+        if ctx2 != ctx and len(enum.gcd(goal, enum.sf(rhs))) > 1:
             continue
         sub = enum.witness(env2, ctx2, goal, 0)
         if sub is not None:
@@ -275,7 +357,8 @@ def test_last_level_division_hole_decides():
     # step at budget 1 finds before the branch on x
     enum = _Enumerator(("add", "sub", "mul", "div"), DEFAULT_CONSTANTS)
     x, one = ((0, 1), _ONE_T), ((1,), _ONE_T)
-    assert enum.witness(enum.env0, ("fin", (0, -1, 1)), (-1, 1), 1) == \
+    found = enum.witness(enum.env0, ("fin", (0, -1, 1)), (-1, 1), 1)
+    assert _decoded_sem(enum, found) == \
         ("compute", ((1,), (0, 1)), "div", one, x, ("leaf", True))
 
 
