@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .certificates import (
+    DEFAULT_SUBSET_BUDGET,
     CertificateError,
     gap_condition,
     make_certificate,
@@ -151,6 +152,8 @@ def _cmd_subset_sums(args) -> "tuple[dict, int]":
         raise UsageError(f"bad --values: {exc}") from exc
     if not values:
         raise UsageError("--values must list at least one rational")
+    if not 0 <= args.budget <= DEFAULT_SUBSET_BUDGET:
+        raise UsageError(f"--budget must be between 0 and {DEFAULT_SUBSET_BUDGET}")
     count, distinct = subset_sums_distinct(values, budget=args.budget)
     report = {
         "count": count,
@@ -246,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subset-sums", help="distinct subset sums and the gap condition")
     p.add_argument("--values", required=True, help="comma-separated decreasing rationals")
-    p.add_argument("--budget", type=int, default=24)
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET,
+                   help=f"at most 2^budget sums, budget <= {DEFAULT_SUBSET_BUDGET}")
 
     p = sub.add_parser("thresholds", help="contradiction thresholds for a time exponent")
     p.add_argument("--T", type=int, required=True)

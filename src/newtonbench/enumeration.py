@@ -43,17 +43,14 @@ and `branches` the undetermined zero-tests; each program only combines
 their children (a count sums them, the witness search looks for one that
 decides the goal, the sweep follows the nonzero side of every test).
 
-Compute transitions are derived incrementally, by the semi-naive rule of
-Bancilhon and Ramakrishnan (1986). An environment env = sub + {v} has as
-new values those of sub other than v plus the values of the pairs with v as
-an operand, and a table depends on nothing but its environment, so
-`computes` starts from the cached table of any one-smaller sub-environment
-and evaluates only the pairs that involve v. A value produced both ways
-keeps whichever pair comes first in (op order, lhs index, rhs index), so
-witnesses and trees are those of a full scan. Each entry carries the index
-of its value in its child environment; the child environments of sub's
-values are spliced at that index, moved past v, and only the new values
-are keyed and bisected.
+A computes table is built in one pass over every pair of its environment
+in (op order, lhs index, rhs index) order; each new value keeps its first
+pair, and its child environment is the parent's with the value inserted in
+`_vkey` order. Counting the new values S of an environment without building
+its table uses the semi-naive rule of Bancilhon and Ramakrishnan (1986):
+env = sub + {v} has as new values those of sub other than v plus those of
+the pairs with v as an operand, so with sub's table cached only those pairs
+are evaluated.
 
 Each program closes its last level without expanding the leaves below it,
 so a table is built only for an environment whose steps lead to more than
@@ -63,16 +60,15 @@ budget left every child is a leaf. A step keeps its context and goal
 unless it divides, and a division hole matters to a leaf only in a finite
 context, which it can empty or shrink to the goal. Outside that case the
 witness search tries only the branches, and the count is 2 + 2S + 4B for
-S new values and B branches; S is counted from the parent's cached table
-by the same pair loop as `computes`, and the table is not built. A state
-in the `max_states` budget is an expanded state: a memo entry of the count
-or the witness search, or a visited key of the sweep below the depth bound.
-Leaves and the sweep's states at the bound are never counted.
+S new values and B branches; S is counted as above, and the table is not
+built. A state in the `max_states` budget is an expanded state: a memo
+entry of the count or the witness search, or a visited key of the sweep
+below the depth bound. Leaves and the sweep's states at the bound are never
+counted.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -81,7 +77,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .polynomials import (
     DensePoly,
     poly_to_json,
-    squarefree_part,
     zadd,
     zgcd,
     zmul,
@@ -129,6 +124,11 @@ def _integral(*coeffs: tuple) -> Tuple[tuple, ...]:
     m = lcm(*(c.denominator for cs in coeffs for c in cs))
     return tuple(tuple(c.numerator * (m // c.denominator) for c in cs)
                  for cs in coeffs)
+
+
+def _goal(target: DensePoly) -> tuple:
+    """The target's squarefree part over Z: primitive, positive leading coefficient."""
+    return zsquarefree(_integral(target.coeffs)[0])
 
 
 def _over(cs: tuple, d: int) -> tuple:
@@ -239,102 +239,62 @@ class _Enumerator:
     def computes(self, env: Tuple[int, ...]) -> list:
         """Distinct new values producible in one step, sorted by `_vkey`.
 
-        Each entry is (value, op, lhs, rhs, child environment, index of the
-        value in the child environment). (op, lhs, rhs) is the value's first
-        producing pair in (op order, lhs index, rhs index) order, with lhs
-        index <= rhs index for add and mul.
+        Each entry is (value, op, lhs, rhs, child environment). (op, lhs,
+        rhs) is the value's first producing pair in (op order, lhs index,
+        rhs index) order, with lhs index <= rhs index for add and mul.
         """
         got = self._computes_cache.get(env)
         if got is None:
-            got = self._computes_cache[env] = self._derive(env)
+            fresh = self._fresh(env, None)
+            got = self._computes_cache[env] = []
+            # in env and the new values merged, pos - len(got) of env precede w
+            for pos, w in enumerate(sorted(env + tuple(fresh), key=self._keys.__getitem__)):
+                pair = fresh.get(w)
+                if pair is not None:
+                    o, i, j = pair
+                    k = pos - len(got)
+                    got.append((w, self.ops[o], env[i], env[j], env[:k] + (w,) + env[k:]))
         return got
 
-    def _parent(self, env: Tuple[int, ...]) -> Tuple[int, list]:
-        """(p, table of env without env[p]) for a cached one-smaller sub-environment.
-
-        With none cached, the table of env without its first value is
-        derived uncached, down to the empty environment.
-        """
-        for p in range(len(env) - 1, -1, -1):
-            old = self._computes_cache.get(env[:p] + env[p + 1:])
-            if old is not None:
-                return p, old
-        return 0, self._derive(env[1:])
-
-    def _plan(self, n: int, p: int) -> tuple:
-        """(op index, lhs index, rhs index) of each pair of n values with operand p, in order."""
+    def _plan(self, n: int, p: Optional[int]) -> tuple:
+        """(op index, lhs index, rhs index) of each pair of n values, or of operand p, in order."""
         got = self._plans.get((n, p))
         if got is None:
-            left, right = [(i, p) for i in range(p)], [(p, j) for j in range(n)]
-            tail = [(i, p) for i in range(p + 1, n)]
             got = self._plans[n, p] = tuple(
-                (o, i, j) for o, op in enumerate(self.ops)
-                for i, j in (left + right[p:] if op in ("add", "mul") else left + right + tail))
+                (o, i, j) for o, op in enumerate(self.ops) for i in range(n)
+                for j in range(i if op in ("add", "mul") else 0, n)
+                if p is None or p in (i, j))
         return got
 
-    def _fresh(self, env: Tuple[int, ...], p: int) -> dict:
-        """Values not in env of the pairs with env[p] as an operand.
-
-        Each maps to its first such pair (op index, lhs index, rhs index).
-        """
+    def _fresh(self, env: Tuple[int, ...], p: Optional[int]) -> dict:
+        """Values not in env of the pairs of `_plan(len(env), p)`, each with its first pair."""
         fresh = dict.fromkeys(env)  # env's own values, dropped at the end
         tables = [self._arith_ids[op] for op in self.ops]
         for pair in self._plan(len(env), p):
             o, i, j = pair
-            a, b = env[i], env[j]
-            w = tables[o].get(a << 32 | b)
+            w = tables[o].get(env[i] << 32 | env[j])
             if w is None:
-                if self.ops[o] == "div" and not self._vals[b][0]:
+                if self.ops[o] == "div" and not self._vals[env[j]][0]:
                     continue  # division by the zero value is malformed
-                w = self._arith(self.ops[o], a, b)
-            if w not in fresh:
-                fresh[w] = pair
+                w = self._arith(self.ops[o], env[i], env[j])
+            fresh.setdefault(w, pair)
         for u in env:
             del fresh[u]
         return fresh
-
-    def _derive(self, env: Tuple[int, ...]) -> list:
-        """The table of env = sub + {v} from a cached sub's table (semi-naive)."""
-        if not env:
-            return []
-        p, old = self._parent(env)
-        keys = self._keys
-        v = env[p]
-        fresh = self._fresh(env, p)
-        # sub's candidates other than v keep their order; each child
-        # environment is spliced at the carried index, shifted past v
-        table = []
-        for w, op, a, b, _env2, k in old:
-            if k > p:
-                k += 1
-            elif k == p:  # w and v fall in the same gap of sub
-                if w == v:
-                    continue  # v itself is no longer new
-                if keys[w] > keys[v]:
-                    k += 1
-            first = fresh.pop(w, None) if fresh else None
-            if first is not None and first < (self.ops.index(op), env.index(a),
-                                              env.index(b)):
-                o, i, j = first
-                op, a, b = self.ops[o], env[i], env[j]
-            table.append((w, op, a, b, env[:k] + (w,) + env[k:], k))
-        for w, (o, i, j) in fresh.items():
-            wkey = keys[w]
-            k = bisect_left(env, wkey, key=keys.__getitem__)
-            table.insert(bisect_left(table, wkey, key=lambda e: keys[e[0]]),
-                         (w, self.ops[o], env[i], env[j], env[:k] + (w,) + env[k:], k))
-        return table
 
     def _new_values(self, env: Tuple[int, ...]) -> int:
         """len(computes(env)); a table not cached is counted, not built."""
         got = self._computes_cache.get(env)
         if got is not None:
             return len(got)
-        p, old = self._parent(env)
-        vals = {e[0] for e in old}
-        vals.discard(env[p])
-        vals.update(self._fresh(env, p))
-        return len(vals)
+        for p in range(len(env) - 1, -1, -1):
+            old = self._computes_cache.get(env[:p] + env[p + 1:])
+            if old is not None:  # semi-naive: sub's values, less env[p], plus p's pairs
+                vals = {e[0] for e in old}
+                vals.discard(env[p])
+                vals.update(self._fresh(env, p))
+                return len(vals)
+        return len(self._fresh(env, None))
 
     # -- context algebra -----------------------------------------------------
 
@@ -396,7 +356,7 @@ class _Enumerator:
         Division punches the divisor's zeros out of the context; a step
         whose context that empties is unreachable and skipped.
         """
-        for v, op, lhs, rhs, env2, _k in self.computes(env):
+        for v, op, lhs, rhs, env2 in self.computes(env):
             ctx2 = ctx
             if op == "div":
                 ctx2 = self._split(ctx, rhs)[1]
@@ -479,12 +439,15 @@ class _Enumerator:
         self._witness_memo[key] = found
         return found
 
-    def find_witness(self, target: DensePoly, max_depth: int) -> Optional[Node]:
+    def find_witness(self, target: DensePoly, max_depth: int,
+                     goal: Optional[tuple] = None) -> Optional[Node]:
         """The shallowest witness tree by iterative deepening, checked with `decides`.
 
-        Raises BudgetExceeded when the state budget runs out first.
+        `goal` is `_goal(target)`, computed here if not given. Raises
+        BudgetExceeded when the state budget runs out first.
         """
-        goal = zsquarefree(_integral(target.coeffs)[0])
+        if goal is None:
+            goal = _goal(target)
         for budget in range(max_depth + 1):
             sem = self.witness(self.env0, self.ctx0, goal, budget)
             if sem is not None:
@@ -637,7 +600,7 @@ def enumerate_and_refute(target: DensePoly,
         raise TreeError("refutation target must be nonzero")
     if max_depth < 0:
         raise TreeError("max_depth must be >= 0")
-    target_sf = squarefree_part(target)
+    goal = _goal(target)
     enum = _Enumerator(ops, constants, max_states)
     inconclusive = False
 
@@ -645,7 +608,7 @@ def enumerate_and_refute(target: DensePoly,
     # found without exploring the full-depth state space.
     witness_complete = True
     try:
-        witness_tree = enum.find_witness(target, max_depth)
+        witness_tree = enum.find_witness(target, max_depth, goal)
     except BudgetExceeded:
         witness_tree = None
         witness_complete = False
@@ -664,7 +627,6 @@ def enumerate_and_refute(target: DensePoly,
     if path_results is not None:
         path_count = len(path_results)
         # goal divides g over Q iff their gcd is goal itself
-        goal = zsquarefree(_integral(target.coeffs)[0])
         failures = sum(1 for g in path_results
                        if g and zgcd(goal, _integral(g)[0]) != goal)
         all_fail = failures == path_count
@@ -679,7 +641,8 @@ def enumerate_and_refute(target: DensePoly,
 
     return RefutationReport(
         target=target,
-        target_squarefree=target_sf,
+        # the monic squarefree part over Q is unique, so it is goal made monic
+        target_squarefree=DensePoly(goal) * Fraction(1, goal[-1]),
         max_depth=max_depth,
         ops=enum.ops,
         constants=tuple(Fraction(c) for c in enum.constants),

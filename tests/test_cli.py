@@ -189,6 +189,8 @@ _BAD_FILES = {
     ["refute-trees", "--target", "q:2", "--max-depth", "1", "--max-states", "-5"],
     ["certify", "--family", "p:4", "--T", str(MAX_VALUATION_BITS + 1)],
     ["thresholds", "--T", "9" * 1500],
+    ["subset-sums", "--values", "4,2,1", "--budget", "25"],
+    ["subset-sums", "--values", "4,2,1", "--budget", "-1"],
 ])
 def test_malformed_input_exits_2_with_one_error_line(argv, capsys, tmp_path,
                                                      monkeypatch):

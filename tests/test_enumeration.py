@@ -243,28 +243,38 @@ def _decoded_sem(enum, sem):
     return ("branch", enum._vals[v], _decoded_sem(enum, zsub), _decoded_sem(enum, nsub))
 
 
-def test_incremental_computes_matches_from_scratch(reached):
+def test_computes_and_new_values_match_from_scratch(reached):
     param, enum, _states = reached
     envs = list(enum._computes_cache)
     children = sorted({entry[4] for env in envs for entry in enum.computes(env)},
                       key=lambda env: [enum._keys[u] for u in env])
     assert len(set(children) | set(envs)) == _FORMER_TABLES[param]
     for env in envs:
-        table = enum.computes(env)
-        assert [_decoded(enum, entry) for entry in table] == \
+        assert [_decoded(enum, entry) for entry in enum.computes(env)] == \
             _computes_from_scratch(enum, env)
-        assert all(env2[k] == v for v, _op, _a, _b, env2, k in table)
-    # the leaves' environments: counted from the parent table, not built
+    # the leaves' environments: counted, not built, both from a cached parent
+    # table and by an enumerator with its own intern table and no table cached
+    counter = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
     for env in children:
-        assert enum._new_values(env) == len(_computes_from_scratch(enum, env))
+        n = len(_computes_from_scratch(enum, env))
+        assert enum._new_values(env) == n
+        assert counter._new_values(_translated(enum, counter, env)) == n
     assert set(enum._computes_cache) == set(envs)
-    # derived with no cached parent, down from the empty environment, by an
-    # enumerator with its own intern table
+    assert not counter._computes_cache
+    # built by an enumerator with its own intern table
     for env in children[::97]:
         fresh = _Enumerator(enum.ops, DEFAULT_CONSTANTS)
         assert [_decoded(fresh, entry)
                 for entry in fresh.computes(_translated(enum, fresh, env))] == \
             _computes_from_scratch(enum, env)
+
+
+def test_first_pair_order_within_an_op():
+    # in env0 = (0, -1, 1, 2, x), -2 is 0 - 2 (pair (0, 3)) and -1 - 1 (pair
+    # (1, 2)); the lower lhs index comes first
+    enum = _Enumerator(("sub",), (-1, 0, 1, 2))
+    [entry] = [e for e in enum.computes(enum.env0) if enum._vals[e[0]] == ((-2,), _ONE_T)]
+    assert _decoded(enum, entry)[1:4] == ("sub", ((), _ONE_T), ((2,), _ONE_T))
 
 
 def test_interned_tables_match_ratfunc_arithmetic(reached):
@@ -360,6 +370,17 @@ def test_last_level_division_hole_decides():
     found = enum.witness(enum.env0, ("fin", (0, -1, 1)), (-1, 1), 1)
     assert _decoded_sem(enum, found) == \
         ("compute", ((1,), (0, 1)), "div", one, x, ("leaf", True))
+
+
+def test_report_target_squarefree_matches_squarefree_part():
+    # repeated factors, non-unit content, a fractional coefficient, a constant
+    for target in (P(12, -18, 0, 6),              # 6 (x - 1)^2 (x + 2)
+                   P(0, 0, -4),                   # -4 x^2
+                   P(Fraction(1, 2), -1, Fraction(1, 2)),  # (x - 1)^2 / 2
+                   P(Fraction(-3, 4), Fraction(1, 3), 0, 5, 5),
+                   P(-7)):
+        report = enumerate_and_refute(target, 0)
+        assert report.target_squarefree == squarefree_part(target)
 
 
 def test_refute_with_division_enabled():
