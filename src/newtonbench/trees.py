@@ -10,16 +10,26 @@ Semantics are exact over Q[x] (or Q(x) with division enabled): the generic
 path is the branch sequence a generic complex input follows, and the set a
 tree accepts is worked out per path by gcd/squarefree arithmetic, never by
 numeric root finding.
+
+One structural walk (``_shape``) checks every path and gives both depths.
+One symbolic walk over Q(x) (``_paths``) takes the sides of each zero test
+that a branch rule names: the generic side for ``trace_generic_path``, both
+for ``accept_set``. ``accepts`` stays a separate ``Fraction`` interpreter,
+the reference that tests compare ``accept_set`` against and the benchmark's
+oracle runs witnesses on; so this module imports nothing from
+``enumeration`` or the integer kernel of ``polynomials``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .polynomials import DensePoly, squarefree_part
-from .valuation import Rational, format_rational, parse_rational
+from .valuation import Rational, ValuationError, format_rational, parse_rational
 
 OPS = ("add", "sub", "mul", "div")
 DEFAULT_OPS = ("add", "sub", "mul")
@@ -67,60 +77,59 @@ class Branch:
 Node = Union[Leaf, Input, Const, Compute, Branch]
 
 
+_MULTIPLICATIVE = ("mul", "div")
+
+
+def _shape(tree: Node, allowed: Optional[Set[Fraction]] = None) -> Tuple[int, int]:
+    """The one structural walk: check every path, return (depth, mult. depth).
+
+    Raises TreeError on a non-node, an unknown op, a reference to a value
+    not yet defined on the path, or a constant outside ``allowed``.
+    """
+
+    def walk(node: Node, nvals: int) -> Tuple[int, int]:
+        if isinstance(node, Leaf):
+            return 0, 0
+        if isinstance(node, Input):
+            return walk(node.child, nvals + 1)
+        if isinstance(node, Const):
+            if allowed is not None and node.value not in allowed:
+                raise TreeError(f"constant {node.value} outside the allowed set")
+            return walk(node.child, nvals + 1)
+        if isinstance(node, Compute):
+            if node.op not in OPS:
+                raise TreeError(f"unknown op {node.op!r}")
+            if not (0 <= node.lhs < nvals and 0 <= node.rhs < nvals):
+                raise TreeError(f"operand reference out of range at value {nvals}")
+            d, m = walk(node.child, nvals + 1)
+            return d + 1, m + (node.op in _MULTIPLICATIVE)
+        if isinstance(node, Branch):
+            if not 0 <= node.test < nvals:
+                raise TreeError("branch test reference out of range")
+            (d0, m0), (d1, m1) = walk(node.zero, nvals), walk(node.nonzero, nvals)
+            return 1 + max(d0, d1), max(m0, m1)
+        raise TreeError(f"not a tree node: {node!r}")
+
+    return walk(tree, 0)
+
+
 def validate(tree: Node, constants: Optional[Iterable[Rational]] = None) -> None:
     """Check single-assignment references and operator names along every path.
 
     ``constants`` optionally restricts the constant pool (the enumerator uses
     {0, 1}); None allows any rational constant.
     """
-    allowed = None if constants is None else {Fraction(c) for c in constants}
-
-    def walk(node: Node, nvals: int) -> None:
-        if isinstance(node, Leaf):
-            return
-        if isinstance(node, Input):
-            walk(node.child, nvals + 1)
-        elif isinstance(node, Const):
-            if allowed is not None and node.value not in allowed:
-                raise TreeError(f"constant {node.value} outside the allowed set")
-            walk(node.child, nvals + 1)
-        elif isinstance(node, Compute):
-            if node.op not in OPS:
-                raise TreeError(f"unknown op {node.op!r}")
-            if not (0 <= node.lhs < nvals and 0 <= node.rhs < nvals):
-                raise TreeError(f"operand reference out of range at value {nvals}")
-            walk(node.child, nvals + 1)
-        elif isinstance(node, Branch):
-            if not 0 <= node.test < nvals:
-                raise TreeError("branch test reference out of range")
-            walk(node.zero, nvals)
-            walk(node.nonzero, nvals)
-        else:
-            raise TreeError(f"not a tree node: {node!r}")
-
-    walk(tree, 0)
+    _shape(tree, None if constants is None else {Fraction(c) for c in constants})
 
 
 def depth(tree: Node) -> int:
     """Max count of compute + branch nodes on any root-to-leaf path."""
-    if isinstance(tree, Leaf):
-        return 0
-    if isinstance(tree, (Input, Const)):
-        return depth(tree.child)
-    if isinstance(tree, Compute):
-        return 1 + depth(tree.child)
-    return 1 + max(depth(tree.zero), depth(tree.nonzero))
+    return _shape(tree)[0]
 
 
 def multiplicative_depth(tree: Node) -> int:
     """Max count of mul/div nodes on any root-to-leaf path."""
-    if isinstance(tree, Leaf):
-        return 0
-    if isinstance(tree, (Input, Const)):
-        return multiplicative_depth(tree.child)
-    if isinstance(tree, Compute):
-        return (1 if tree.op in ("mul", "div") else 0) + multiplicative_depth(tree.child)
-    return max(multiplicative_depth(tree.zero), multiplicative_depth(tree.nonzero))
+    return _shape(tree)[1]
 
 
 # -- rational-function values ------------------------------------------------
@@ -165,6 +174,46 @@ class RatFunc:
 _X = RatFunc(DensePoly.x(), DensePoly.one())
 
 
+# -- symbolic paths ---------------------------------------------------------
+
+def _paths(tree: Node, sides: Callable[[DensePoly], Tuple[bool, ...]]) -> Iterator[tuple]:
+    """The one symbolic walk: run the tree over Q(x), yield each leaf reached.
+
+    At a zero test with numerator n the walk takes each side in ``sides(n)``
+    in order, True being the zero side. Per leaf it yields the leaf, the
+    tests in path order as (numerator, zero side taken), the numerators of
+    the divisors (a division removes the divisor's zeros from the path), and
+    the path's depth and multiplicative depth.
+    """
+    validate(tree)
+    regs: List[RatFunc] = []
+
+    def walk(node: Node, tests: tuple, divisors: tuple, d: int, m: int) -> Iterator[tuple]:
+        if isinstance(node, Leaf):
+            yield node, tests, divisors, d, m
+            return
+        if isinstance(node, Branch):
+            num = regs[node.test].num
+            for zero in sides(num):
+                yield from walk(node.zero if zero else node.nonzero,
+                                tests + ((num, zero),), divisors, d + 1, m)
+            return
+        if isinstance(node, Input):
+            regs.append(_X)
+        elif isinstance(node, Const):
+            regs.append(RatFunc.of(DensePoly.constant(node.value)))
+        else:  # Compute
+            lhs, rhs = regs[node.lhs], regs[node.rhs]
+            if node.op == "div":
+                divisors += (rhs.num,)
+            regs.append(lhs.arith(node.op, rhs))
+            d, m = d + 1, m + (node.op in _MULTIPLICATIVE)
+        yield from walk(node.child, tests, divisors, d, m)
+        regs.pop()
+
+    return walk(tree, (), (), 0, 0)
+
+
 # -- generic path -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -183,35 +232,12 @@ class PathPolynomial:
 
 def trace_generic_path(tree: Node) -> PathPolynomial:
     """Follow the branch a generic input takes; multiply the test numerators met."""
-    validate(tree)
-    regs: List[RatFunc] = []
+    [(_, tests, _, depth_total, depth_mult)] = _paths(tree, lambda num: (num.is_zero,))
     g = DensePoly.one()
-    tests: List[DensePoly] = []
-    depth_total = depth_mult = 0
-    node = tree
-    while not isinstance(node, Leaf):
-        if isinstance(node, Input):
-            regs.append(_X)
-            node = node.child
-        elif isinstance(node, Const):
-            regs.append(RatFunc.of(DensePoly.constant(node.value)))
-            node = node.child
-        elif isinstance(node, Compute):
-            regs.append(regs[node.lhs].arith(node.op, regs[node.rhs]))
-            depth_total += 1
-            if node.op in ("mul", "div"):
-                depth_mult += 1
-            node = node.child
-        else:  # Branch
-            value = regs[node.test]
-            depth_total += 1
-            tests.append(value.num)
-            if value.num.is_zero:
-                node = node.zero
-            else:
-                g = g * value.num
-                node = node.nonzero
-    return PathPolynomial(g, tuple(tests), depth_total, depth_mult)
+    for num, zero in tests:
+        if not zero:
+            g = g * num
+    return PathPolynomial(g, tuple(num for num, _ in tests), depth_total, depth_mult)
 
 
 # -- exact accept-set semantics ----------------------------------------------
@@ -270,33 +296,12 @@ def _reduce_path(eqs: List[DensePoly], nonzeros: List[DensePoly]) -> PathConditi
 
 def accept_set(tree: Node) -> AcceptSet:
     """Reduce every root-to-accept path to its exact accepted set and union them."""
-    validate(tree)
-    conditions: List[PathCondition] = []
-
-    def walk(node: Node, regs: List[RatFunc],
-             eqs: List[DensePoly], nonzeros: List[DensePoly]) -> None:
-        if isinstance(node, Leaf):
-            if node.accept:
-                conditions.append(_reduce_path(eqs, nonzeros))
-            return
-        if isinstance(node, Input):
-            walk(node.child, regs + [_X], eqs, nonzeros)
-        elif isinstance(node, Const):
-            walk(node.child, regs + [RatFunc.of(DensePoly.constant(node.value))],
-                 eqs, nonzeros)
-        elif isinstance(node, Compute):
-            lhs, rhs = regs[node.lhs], regs[node.rhs]
-            if node.op == "div":
-                # inputs where the divisor vanishes drop out of the path domain
-                nonzeros = nonzeros + [rhs.num]
-            value = lhs.arith(node.op, rhs)
-            walk(node.child, regs + [value], eqs, nonzeros)
-        else:  # Branch
-            num = regs[node.test].num
-            walk(node.zero, regs, eqs + [num], nonzeros)
-            walk(node.nonzero, regs, eqs, nonzeros + [num])
-
-    walk(tree, [], [], [])
+    conditions = [
+        _reduce_path([num for num, zero in tests if zero],
+                     [num for num, zero in tests if not zero] + list(divisors))
+        for leaf, tests, divisors, _, _ in _paths(tree, lambda num: (True, False))
+        if leaf.accept
+    ]
     union = DensePoly.one()
     generic = False
     for cond in conditions:
@@ -358,51 +363,45 @@ def accepts(tree: Node, x: Rational) -> bool:
 # "nK = input", "nK = const 3/4", "nK = mul n0 n1". A branch line reads
 # "branch n2 ? L:accept R:..." where a leaf child is inlined and "..." means
 # the child's statements follow on lines prefixed with the branch path, e.g.
-# "R: n3 = add n0 n1" and nested "R.L: accept".
+# "R: n3 = add n0 n1" and nested "R.L: accept". Each block ends in its one
+# leaf or branch line, names L and R once per branch, and is reached by a
+# "..." child; parse_tree rejects any other line rather than dropping it.
 
 def format_tree(tree: Node) -> str:
     lines: List[str] = []
 
-    def stmt(prefix: str, text: str) -> None:
-        lines.append(f"{prefix}{text}")
+    def word(node: Node) -> str:  # a leaf child is inlined, any other is "..."
+        return ("accept" if node.accept else "reject") if isinstance(node, Leaf) else "..."
 
     def walk(node: Node, nvals: int, addr: str) -> None:
         prefix = f"{addr}: " if addr else ""
-        while True:
-            if isinstance(node, Leaf):
-                stmt(prefix, "accept" if node.accept else "reject")
-                return
+        while isinstance(node, (Input, Const, Compute)):
             if isinstance(node, Input):
-                stmt(prefix, f"n{nvals} = input")
-                nvals += 1
-                node = node.child
+                rhs = "input"
             elif isinstance(node, Const):
-                stmt(prefix, f"n{nvals} = const {format_rational(node.value)}")
-                nvals += 1
-                node = node.child
-            elif isinstance(node, Compute):
-                stmt(prefix, f"n{nvals} = {node.op} n{node.lhs} n{node.rhs}")
-                nvals += 1
-                node = node.child
+                rhs = f"const {format_rational(node.value)}"
             else:
-                parts = []
-                for tag, child in (("L", node.zero), ("R", node.nonzero)):
-                    if isinstance(child, Leaf):
-                        parts.append(f"{tag}:{'accept' if child.accept else 'reject'}")
-                    else:
-                        parts.append(f"{tag}:...")
-                stmt(prefix, f"branch n{node.test} ? {parts[0]} {parts[1]}")
-                for tag, child in (("L", node.zero), ("R", node.nonzero)):
-                    if not isinstance(child, Leaf):
-                        walk(child, nvals, f"{addr}.{tag}" if addr else tag)
-                return
+                rhs = f"{node.op} n{node.lhs} n{node.rhs}"
+            lines.append(f"{prefix}n{nvals} = {rhs}")
+            nvals, node = nvals + 1, node.child
+        if isinstance(node, Leaf):
+            lines.append(prefix + word(node))
+            return
+        lines.append(f"{prefix}branch n{node.test} ? L:{word(node.zero)} R:{word(node.nonzero)}")
+        for tag, child in (("L", node.zero), ("R", node.nonzero)):
+            if not isinstance(child, Leaf):
+                walk(child, nvals, f"{addr}.{tag}" if addr else tag)
 
     walk(tree, 0, "")
     return "\n".join(lines) + "\n"
 
 
+_LEAVES = {"accept": Leaf(True), "reject": Leaf(False)}
+
+
 def parse_tree(text: str) -> Node:
-    blocks: dict = {}
+    """Parse ``format_tree`` output; TreeError on any malformed or unused line."""
+    blocks: Dict[str, List[str]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -412,64 +411,63 @@ def parse_tree(text: str) -> Node:
             blocks.setdefault(addr, []).append(rest.strip())
         else:
             blocks.setdefault("", []).append(line)
+    reached: Set[str] = set()
 
     def build(addr: str, nvals: int) -> Node:
+        """A block: value statements "nK = ...", then one leaf or branch line."""
         stmts = blocks.get(addr)
         if not stmts:
             raise TreeError(f"missing block at path {addr or '<root>'!r}")
-        return build_stmts(stmts, 0, addr, nvals)
+        reached.add(addr)
+        makers: List[Callable[[Node], Node]] = []
+        for line in stmts[:-1]:
+            name, _, rhs = line.partition("=")
+            if name.strip() != f"n{nvals}":
+                raise TreeError(f"expected value n{nvals}, got {line!r}")
+            words = rhs.split()
+            if words == ["input"]:
+                makers.append(Input)
+            elif len(words) == 2 and words[0] == "const":
+                try:
+                    makers.append(partial(Const, parse_rational(words[1])))
+                except ValuationError:
+                    raise TreeError(f"bad constant in {line!r}") from None
+            elif len(words) == 3 and words[0] in OPS:
+                makers.append(partial(Compute, words[0], ref(words[1], nvals),
+                                      ref(words[2], nvals)))
+            else:
+                raise TreeError(f"bad statement {line!r}")
+            nvals += 1
+        node = build_end(stmts[-1], addr, nvals)
+        for make in reversed(makers):
+            node = make(node)
+        return node
 
-    def build_stmts(stmts: List[str], k: int, addr: str, nvals: int) -> Node:
-        if k >= len(stmts):
-            raise TreeError(f"block {addr or '<root>'!r} does not end in a leaf or branch")
-        line = stmts[k]
-        if line == "accept":
-            return Leaf(True)
-        if line == "reject":
-            return Leaf(False)
-        if line.startswith("branch "):
-            head, _, tail = line.partition("?")
-            test = _parse_ref(head.split()[1], nvals)
-            children = {}
-            for part in tail.split():
-                tag, _, what = part.partition(":")
-                if tag not in ("L", "R") or not what:
-                    raise TreeError(f"bad branch child {part!r}")
-                if what == "accept":
-                    children[tag] = Leaf(True)
-                elif what == "reject":
-                    children[tag] = Leaf(False)
-                elif what == "...":
-                    children[tag] = build(f"{addr}.{tag}" if addr else tag, nvals)
-                else:
-                    raise TreeError(f"bad branch child {part!r}")
-            if set(children) != {"L", "R"}:
-                raise TreeError(f"branch needs both children: {line!r}")
-            return Branch(test, children["L"], children["R"])
-        # value statement: "nK = ..."
-        name, _, rhs = line.partition("=")
-        if int(name.strip().lstrip("n")) != nvals:
-            raise TreeError(f"expected value n{nvals}, got {line!r}")
-        rhs = rhs.strip()
-        child = lambda: build_stmts(stmts, k + 1, addr, nvals + 1)  # noqa: E731
-        if rhs == "input":
-            return Input(child())
-        if rhs.startswith("const "):
-            return Const(parse_rational(rhs[len("const "):]), child())
-        op, *args = rhs.split()
-        if op not in OPS or len(args) != 2:
-            raise TreeError(f"bad statement {line!r}")
-        return Compute(op, _parse_ref(args[0], nvals), _parse_ref(args[1], nvals),
-                       child())
+    def build_end(line: str, addr: str, nvals: int) -> Node:
+        """A leaf, or "branch nK ? L:<child> R:<child>" with each child a leaf or "..."."""
+        if line in _LEAVES:
+            return _LEAVES[line]
+        words = line.split()
+        if not (len(words) == 5 and words[0] == "branch" and words[2] == "?"):
+            raise TreeError(f"block {addr or '<root>'!r} ends in a bad line: {line!r}")
+        test = ref(words[1], nvals)
+        children: Dict[str, Node] = {}
+        for part in words[3:]:
+            tag, _, what = part.partition(":")
+            if tag not in ("L", "R") or tag in children or what not in (*_LEAVES, "..."):
+                raise TreeError(f"bad branch child {part!r}")
+            child_addr = f"{addr}.{tag}" if addr else tag
+            children[tag] = _LEAVES[what] if what in _LEAVES else build(child_addr, nvals)
+        return Branch(test, children["L"], children["R"])
 
-    def _parse_ref(token: str, nvals: int) -> int:
-        if not token.startswith("n"):
-            raise TreeError(f"bad value reference {token!r}")
-        ref = int(token[1:])
-        if not 0 <= ref < nvals:
-            raise TreeError(f"reference {token} ahead of definition")
-        return ref
+    def ref(token: str, nvals: int) -> int:
+        if not re.fullmatch(r"n[0-9]+", token) or int(token[1:]) >= nvals:
+            raise TreeError(f"bad value reference {token!r} before n{nvals}")
+        return int(token[1:])
 
     tree = build("", 0)
+    unreached = sorted(set(blocks) - reached)
+    if unreached:
+        raise TreeError(f"block {unreached[0]!r} is not reached by a '...' child")
     validate(tree)
     return tree

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from newtonbench import trees
 from newtonbench.polynomials import DensePoly, squarefree_part
 from newtonbench.trees import (
     Branch,
@@ -79,6 +82,40 @@ def test_depth_measures():
     assert depth(Input(Const(1, Leaf(True)))) == 0  # input/const are free
     lop = Input(Compute("mul", 0, 0, Compute("mul", 1, 1, Leaf(False))))
     assert multiplicative_depth(lop) == 2
+    # the deeper side of a branch need not be the more multiplicative one
+    split = Input(Branch(0, Compute("add", 0, 0, Compute("add", 0, 0, Leaf(True))),
+                         Compute("mul", 0, 0, Leaf(False))))
+    assert depth(split) == 3
+    assert multiplicative_depth(split) == 1
+
+
+def test_depth_rejects_a_non_node():
+    for measure in (depth, multiplicative_depth):
+        with pytest.raises(TreeError):
+            measure("junk")
+
+
+def test_depth_rejects_an_out_of_range_reference():
+    for measure in (depth, multiplicative_depth):
+        with pytest.raises(TreeError):
+            measure(Input(Compute("mul", 0, 3, Leaf(True))))
+        with pytest.raises(TreeError):
+            measure(Input(Branch(1, Leaf(True), Leaf(False))))
+
+
+def test_trees_imports_nothing_from_the_enumerator_or_integer_kernel():
+    """accepts and accept_set are the oracle for the enumerator's verdicts."""
+    tree_module = ast.parse(Path(trees.__file__).read_text())
+    for node in ast.walk(tree_module):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith(("enumeration", "polynomials"))
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").endswith("enumeration")
+            names = [a.name for a in node.names]
+            assert "enumeration" not in names and "polynomials" not in names
+            if (node.module or "").endswith("polynomials"):
+                assert not any(name.startswith("z") for name in names), names
 
 
 def test_accept_set_examples():
@@ -199,6 +236,17 @@ def test_parse_rejects_garbage():
         parse_tree("n1 = input\naccept\n")  # wrong numbering
     with pytest.raises(TreeError):
         parse_tree("n0 = input\nbranch n0 ? L:accept\n")  # missing child
+    for text in ("nx = input\naccept\n",  # malformed name
+                 "n0 = input\nn1 = add n0 nq\naccept\n",  # malformed reference
+                 "n0 = input\nn1 = const 1/x\naccept\n",
+                 "n0 = input\nn1 =\naccept\n",
+                 "n0 = input\nbranch ? L:accept R:reject\n",
+                 "n0 = input\naccept\nreject\n",  # line after the block's leaf
+                 "n0 = input\nbranch n0 ? L:accept R:reject\nL: accept\n",  # unreached
+                 "n0 = input\nbranch n0 ? L:... R:reject\nL: accept\nQ.R: n1 = input\n",
+                 "n0 = input\nbranch n0 ? L:accept L:reject R:accept\n"):  # repeated tag
+        with pytest.raises(TreeError):
+            parse_tree(text)
 
 
 def _random_tree(rng, nvals, budget, constants, div_ok):
